@@ -373,14 +373,10 @@ int run_paper(const core::BenchCli& cli, ResultSink& sink, std::size_t devices,
   }
   sink.banner("SLO epilogue: per-tenant violation rate vs power budget");
   sink.table("slo", slo);
-  // Kernel-load accounting for the rig-sweep A/B (stdout only — not part of
-  // the parity CSVs): how many events the fleet's simulators fired in total.
-  // Gated so scripts/bench_ab.sh can compile this file unmodified in a
-  // baseline worktree that predates FleetHost::executed_events().
-#ifdef PAS_RIG_SEGMENT_LAZY
+  // Kernel-load accounting (stdout only — not part of the parity CSVs): how
+  // many events the fleet's simulators fired in total.
   std::printf("events executed: %llu\n",
               static_cast<unsigned long long>(host.executed_events()));
-#endif
   return violation ? 1 : 0;
 }
 
@@ -416,8 +412,8 @@ int run_standby(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
   host.stop_rigs();
   const power::PowerTrace trace = host.take_fleet_trace();
   const power::TraceSummary s = trace.analyze(seconds(10));
-  // Full 17-digit precision: the rig-sweep A/B byte-compares this CSV
-  // between the segment-lazy and per-tick samplers.
+  // Full 17-digit precision, so a byte-compare of this CSV catches any
+  // change in the sampled values.
   Table report({"devices", "parked", "samples", "mean W", "max 10s-win W"});
   report.add_row({Table::fmt_int(static_cast<long long>(devices)),
                   Table::fmt_int(static_cast<long long>(parked)),
@@ -425,10 +421,8 @@ int run_standby(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
                   Table::fmt(s.mean_w, 17), Table::fmt(s.max_window_w, 17)});
   sink.banner("Standby rack: 1 kHz monitoring of a parked fleet");
   sink.table("standby", report);
-#ifdef PAS_RIG_SEGMENT_LAZY
   std::printf("events executed: %llu\n",
               static_cast<unsigned long long>(host.executed_events()));
-#endif
   return 0;
 }
 
@@ -623,10 +617,8 @@ int run_diurnal(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
   }
   sink.banner("Diurnal SLO epilogue: per-tenant violation rate vs rack budget");
   sink.table("slo_diurnal", slo);
-#ifdef PAS_RIG_SEGMENT_LAZY
   std::printf("events executed: %llu\n",
               static_cast<unsigned long long>(host.executed_events()));
-#endif
   return violation ? 1 : 0;
 }
 

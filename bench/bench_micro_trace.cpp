@@ -1,16 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the power-trace pipeline hot
-// paths: per-cell analytics (the four reductions core/campaign.cpp needs),
+// paths: per-cell analytics (the fused summary core/campaign.cpp reports),
 // slice-then-mean (the Figure 7 reporting pattern), fleet-trace summation
 // (core/testbed.cpp), and raw sample append (the rig's 1 kHz store path).
-//
-// This file intentionally compiles against BOTH the pre-SoA AoS trace and
-// the current SoA trace: scripts/bench_ab.sh builds it unmodified in a
-// baseline worktree for interleaved A/B runs. Cases that need the new API
-// (fused analyze, zero-copy views, device-major accumulate) are gated on
-// PAS_POWER_TRACE_SOA, which only the SoA trace.h defines.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,23 +27,8 @@ power::PowerTrace make_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-// The per-cell reporting reductions as four separate passes — what
-// core/campaign.cpp did before the fused summary.
-void BM_TraceFourPasses(benchmark::State& state) {
-  const power::PowerTrace trace = make_trace(kTraceSamples, 1);
-  for (auto _ : state) {
-    double acc = trace.min_power();
-    acc += trace.max_power();
-    acc += trace.mean_power();
-    acc += trace.max_window_average(seconds(10));
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kTraceSamples));
-}
-BENCHMARK(BM_TraceFourPasses);
-
-#ifdef PAS_POWER_TRACE_SOA
-// The same four quantities from one fused pass over the SoA value array.
+// The per-cell reporting quantities (min, max, mean, max 10 s window) from
+// one fused pass over the SoA value array.
 void BM_TraceFusedSummary(benchmark::State& state) {
   const power::PowerTrace trace = make_trace(kTraceSamples, 1);
   for (auto _ : state) {
@@ -61,11 +39,9 @@ void BM_TraceFusedSummary(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kTraceSamples));
 }
 BENCHMARK(BM_TraceFusedSummary);
-#endif
 
 // bench_fig7_standby's reporting shape: four slices of one trace, mean of
-// each. Pre-SoA this materialized four sub-trace copies; now each slice is
-// a zero-copy view.
+// each. Each slice is a zero-copy view.
 void BM_TraceSliceMeans(benchmark::State& state) {
   const power::PowerTrace trace = make_trace(kTraceSamples, 2);
   const TimeNs b = trace.start_time();
@@ -81,37 +57,9 @@ void BM_TraceSliceMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSliceMeans);
 
-// Fleet summation, sample-major: the pre-SoA Testbed::fleet_trace() loop —
-// per-sample device loop, per-sample alignment re-check, per-sample append.
-void BM_FleetSumSampleMajor(benchmark::State& state) {
-  std::vector<power::PowerTrace> traces;
-  for (std::size_t d = 0; d < kFleetDevices; ++d) {
-    traces.push_back(make_trace(kFleetSamples, 10 + d));
-  }
-  for (auto _ : state) {
-    const power::PowerTrace& first = traces[0];
-    power::PowerTrace fleet;
-    fleet.reserve(first.size());
-    for (std::size_t s = 0; s < first.size(); ++s) {
-      double total = first[s].watts;
-      for (std::size_t d = 1; d < traces.size(); ++d) {
-        const power::PowerTrace& t = traces[d];
-        if (t.size() != first.size() || t[s].t != first[s].t) std::abort();
-        total += t[s].watts;
-      }
-      fleet.add(first[s].t, total);
-    }
-    benchmark::DoNotOptimize(fleet);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kFleetSamples * kFleetDevices));
-}
-BENCHMARK(BM_FleetSumSampleMajor);
-
-#ifdef PAS_POWER_TRACE_SOA
-// Fleet summation, device-major: the current Testbed::fleet_trace() shape —
-// alignment validated once per device, then one contiguous add-loop each.
-void BM_FleetSumDeviceMajor(benchmark::State& state) {
+// Fleet summation in the Testbed::fleet_trace() shape: alignment validated
+// once per device, then one contiguous add-loop each.
+void BM_FleetSum(benchmark::State& state) {
   std::vector<power::PowerTrace> traces;
   for (std::size_t d = 0; d < kFleetDevices; ++d) {
     traces.push_back(make_trace(kFleetSamples, 10 + d));
@@ -126,11 +74,10 @@ void BM_FleetSumDeviceMajor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kFleetSamples * kFleetDevices));
 }
-BENCHMARK(BM_FleetSumDeviceMajor);
-#endif
+BENCHMARK(BM_FleetSum);
 
 // Raw append throughput of the rig's store path (no reserve: includes
-// reallocation, which the SoA layout halves).
+// reallocation).
 void BM_TraceAppend(benchmark::State& state) {
   for (auto _ : state) {
     power::PowerTrace t;

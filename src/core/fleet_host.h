@@ -130,8 +130,7 @@ class FleetHost {
   virtual void advance(TimeNs dt) = 0;
   virtual TimeNs now() const = 0;
   // Total simulator events fired across the fleet so far (summed over shard
-  // simulators). Perf accounting: the rig-sweep A/B reports how many events
-  // segment-lazy sampling removed from the kernel.
+  // simulators): the kernel load bench_fleet_scenario reports.
   virtual std::uint64_t executed_events() const = 0;
 
   // --- measurement ---

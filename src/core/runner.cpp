@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -123,13 +127,17 @@ BenchCli parse_bench_cli(int argc, char** argv, double default_scale,
     }
     return argv[++i];
   };
-  auto numeric = [&](const char* flag, const char* v) -> double {
-    char* end = nullptr;
-    const double x = std::strtod(v, &end);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv[0], flag, v);
-      std::exit(2);
-    }
+  auto reject = [&](const char* flag, const char* what, const char* v) {
+    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", argv[0], flag, what, v);
+    std::exit(2);
+  };
+  // Decimal digits only (no sign, no exponent) and at most `max`.
+  auto unsigned_integer = [&](const char* flag, const char* what, const char* v,
+                              std::uint64_t max) -> std::uint64_t {
+    if (*v == '\0' || std::strspn(v, "0123456789") != std::strlen(v)) reject(flag, what, v);
+    errno = 0;
+    const unsigned long long x = std::strtoull(v, nullptr, 10);
+    if (errno == ERANGE || x > max) reject(flag, what, v);
     return x;
   };
   for (int i = 1; i < argc; ++i) {
@@ -138,22 +146,21 @@ BenchCli parse_bench_cli(int argc, char** argv, double default_scale,
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       cli.experiment.io_limit_scale = 0.0625;
     } else if (const char* v = value_of(i, "--scale")) {
-      cli.experiment.io_limit_scale = numeric("--scale", v);
-      if (cli.experiment.io_limit_scale <= 0.0) {
-        std::fprintf(stderr, "%s: --scale must be > 0\n", argv[0]);
-        std::exit(2);
+      char* end = nullptr;
+      const double scale = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(scale) || scale <= 0.0) {
+        reject("--scale", "a finite number > 0", v);
       }
+      cli.experiment.io_limit_scale = scale;
     } else if (const char* v = value_of(i, "--jobs")) {
-      cli.jobs = static_cast<int>(numeric("--jobs", v));
+      cli.jobs = static_cast<int>(unsigned_integer(
+          "--jobs", "a non-negative integer that fits an int", v,
+          std::numeric_limits<int>::max()));
     } else if (const char* v = value_of(i, "--csv-dir")) {
       cli.csv_dir = v;
     } else if (const char* v = value_of(i, "--seed")) {
-      char* end = nullptr;
-      cli.experiment.seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "%s: --seed expects an integer, got '%s'\n", argv[0], v);
-        std::exit(2);
-      }
+      cli.experiment.seed = unsigned_integer("--seed", "an unsigned 64-bit integer", v,
+                                             std::numeric_limits<std::uint64_t>::max());
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "usage: %s [--full | --quick | --scale F] [--jobs N] [--csv-dir DIR] [--seed S]%s\n"

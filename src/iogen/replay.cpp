@@ -1,8 +1,10 @@
 #include "iogen/replay.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -23,16 +25,23 @@ std::string next_field(const std::string& line, std::size_t& pos) {
   return line.substr(b, e - b);
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+enum class Parse { kOk, kMalformed, kTooLarge };
+
+// Strict unsigned decimal no larger than `max`: digits only (no sign, no
+// exponent), and a value strtoull would saturate counts as too large.
+Parse parse_u64(const std::string& s, std::uint64_t max, std::uint64_t& out) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    return Parse::kMalformed;
+  }
+  errno = 0;
+  out = std::strtoull(s.c_str(), nullptr, 10);
+  return errno == ERANGE || out > max ? Parse::kTooLarge : Parse::kOk;
 }
 
 [[noreturn]] void bad_record(const std::string& path, std::size_t line_no,
-                             const char* what) {
-  std::fprintf(stderr, "ReplayTrace: %s at %s:%zu\n", what, path.c_str(), line_no);
+                             const char* what, const std::string& field) {
+  std::fprintf(stderr, "ReplayTrace: %s, got '%s' at %s:%zu\n", what, field.c_str(),
+               path.c_str(), line_no);
   std::abort();
 }
 
@@ -59,6 +68,10 @@ ReplayTrace ReplayTrace::load_csv(const std::string& path) {
   std::vector<TraceRecord> records;
   std::string line;
   std::size_t line_no = 0;
+  auto fail = [&](const char* what, const std::string& field) {
+    std::fclose(f);
+    bad_record(path, line_no, what, field);
+  };
   char buf[4096];
   while (std::fgets(buf, sizeof(buf), f) != nullptr) {
     ++line_no;
@@ -68,17 +81,24 @@ ReplayTrace ReplayTrace::load_csv(const std::string& path) {
     std::size_t pos = 0;
     const std::string ts = next_field(line, pos);
     std::uint64_t at = 0;
-    if (!parse_u64(ts, at)) {
-      // A non-numeric first field on the first data line is a header row.
-      if (records.empty()) continue;
-      std::fclose(f);
-      bad_record(path, line_no, "non-numeric timestamp");
+    const Parse ts_parse =
+        parse_u64(ts, static_cast<std::uint64_t>(std::numeric_limits<TimeNs>::max()), at);
+    if (ts_parse == Parse::kMalformed) {
+      // A text first field before any record is a header row; one that
+      // starts like a number (digit or sign) is a malformed timestamp.
+      const bool header = records.empty() && !ts.empty() &&
+                          !std::isdigit(static_cast<unsigned char>(ts[0])) &&
+                          ts[0] != '+' && ts[0] != '-';
+      if (header) continue;
+      fail("timestamp must be an unsigned integer", ts);
     }
+    if (ts_parse == Parse::kTooLarge) fail("timestamp exceeds INT64_MAX ns", ts);
     const std::string op = next_field(line, pos);
     const std::string lba = next_field(line, pos);
     const std::string len = next_field(line, pos);
     TraceRecord r;
     r.at = static_cast<TimeNs>(at);
+    if (!records.empty() && r.at < records.back().at) fail("timestamp decreases", ts);
     const char c = op.empty() ? '\0' : static_cast<char>(std::tolower(
                                            static_cast<unsigned char>(op[0])));
     if (c == 'r') {
@@ -86,22 +106,26 @@ ReplayTrace ReplayTrace::load_csv(const std::string& path) {
     } else if (c == 'w') {
       r.op = sim::IoOp::kWrite;
     } else {
-      std::fclose(f);
-      bad_record(path, line_no, "op must be R or W");
+      fail("op must be R or W", op);
     }
     std::uint64_t lba_v = 0;
+    const Parse lba_parse =
+        parse_u64(lba, std::numeric_limits<std::uint64_t>::max() / kTraceSectorBytes, lba_v);
+    if (lba_parse == Parse::kMalformed) fail("lba must be an unsigned integer", lba);
+    if (lba_parse == Parse::kTooLarge) fail("lba overflows a 64-bit byte offset", lba);
     std::uint64_t len_v = 0;
-    if (!parse_u64(lba, lba_v) || !parse_u64(len, len_v) || len_v == 0 ||
-        len_v > 0xFFFFFFFFull) {
-      std::fclose(f);
-      bad_record(path, line_no, "malformed lba/len");
+    if (parse_u64(len, 0xFFFFFFFFull, len_v) != Parse::kOk || len_v == 0) {
+      fail("len must be an integer in [1, 2^32)", len);
     }
     r.offset = lba_v * kTraceSectorBytes;
     r.bytes = static_cast<std::uint32_t>(len_v);
     records.push_back(r);
   }
   std::fclose(f);
-  PAS_CHECK_MSG(!records.empty(), "trace file has no records");
+  if (records.empty()) {
+    std::fprintf(stderr, "ReplayTrace: no records in %s\n", path.c_str());
+    std::abort();
+  }
   return from_records(std::move(records));
 }
 

@@ -11,8 +11,10 @@
 // `timestamp` is nanoseconds relative to job start (non-decreasing), `op` is
 // R/W (a leading 'r'/'w', case-insensitive, suffices — "read"/"write" work),
 // `lba` is the logical block address in 512-byte sectors, `len` the transfer
-// length in bytes. A header line whose first field is not a number is
-// skipped; blank lines and '#' comments are ignored.
+// length in bytes. Numeric fields are unsigned decimal (no sign); timestamps
+// must fit int64 ns, `lba * 512` must fit 64 bits and `len` is in [1, 2^32).
+// A header line whose first field is text (not a digit or sign) is skipped;
+// blank lines and '#' comments are ignored.
 #pragma once
 
 #include <cstdint>

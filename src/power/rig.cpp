@@ -217,10 +217,10 @@ Watts MeasurementRig::measure_once(Watts true_power) {
   return std::max(0.0, est_current_a * config_.rail_voltage_v);
 }
 
-// The per-tick reference sampler (config.event_driven). This is the retired
-// hot path, kept verbatim: the matrix test drives it against the lazy path
-// over every mode combination and asserts byte-identical output, and the
-// rig-sweep A/B re-rigs whole fleets with it to count events.
+// The per-tick oracle sampler (config.event_driven): one kernel event per
+// ADC tick, read straight off the device. The matrix test drives it against
+// the lazy path over every mode combination and asserts byte-identical
+// output; nothing else samples this way.
 void MeasurementRig::sample() {
   const TimeNs now = sim_.now();
   Watts true_power = 0.0;

@@ -20,9 +20,9 @@
 // materialize(), which replays the pending ticks in one batch loop in exact
 // per-sample order. Because the noise RNG is drawn in the same order and the
 // energy expressions use the same operands, every retention mode is
-// bit-identical to the retired per-tick sampler; config.event_driven keeps
-// that per-tick reference implementation alive for the parity matrix test
-// and for A/B event-count measurements (scripts/bench_ab.sh rig-sweep).
+// bit-identical to a per-tick sampler that schedules one event per ADC tick.
+// That per-tick path (config.event_driven) is the test oracle only:
+// power_rig_lazy_test's mode matrix compares the lazy rig against it.
 #pragma once
 
 #include <functional>
@@ -36,11 +36,6 @@
 #include "sim/block_device.h"
 #include "sim/power_signal.h"
 #include "sim/simulator.h"
-
-// Feature-test macro for A/B tooling: bench sources compiled against a
-// pre-segment-lazy tree (scripts/bench_ab.sh baseline worktrees) gate their
-// new-API cases on this.
-#define PAS_RIG_SEGMENT_LAZY 1
 
 namespace pas::power {
 
@@ -68,10 +63,9 @@ struct RigConfig {
   // Two-point calibration against known loads removes offset and most gain
   // error, as performed on the physical rig before each experiment.
   bool calibrated = true;
-  // Reference mode: sample with one simulator event per ADC tick (the
-  // pre-segment-lazy implementation) instead of lazily. Kept for the
-  // bit-identity matrix test and the rig-sweep A/B (PAS_RIG_EVENT_DRIVEN=1
-  // re-rigs a whole fleet this way); everything else uses the lazy default.
+  // Test oracle: sample with one simulator event per ADC tick instead of
+  // lazily. Only power_rig_lazy_test sets this, to check the lazy default
+  // bit-for-bit against it; every device built by the library is lazy.
   bool event_driven = false;
 };
 
@@ -131,7 +125,7 @@ class MeasurementRig : private sim::PowerObserver {
   Watts measure_once(Watts true_power);
 
  private:
-  // Per-tick reference path (config.event_driven): PeriodicTask callback.
+  // Per-tick oracle path (config.event_driven): PeriodicTask callback.
   void sample();
 
   // --- segment-lazy internals ---

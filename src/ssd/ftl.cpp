@@ -194,24 +194,6 @@ std::uint32_t Ftl::allocate_stripe(WriteStream& stream, bool for_gc) {
   return kUnmapped;
 }
 
-void Ftl::write_units(std::vector<std::uint64_t> lpns, sim::UniqueCallback done) {
-  PAS_CHECK(!lpns.empty());
-  // Compress the unit list to runs and share the run-based path: a run
-  // expands back to the identical unit sequence, so mapping updates and the
-  // issued program are unchanged.
-  runs_scratch_.clear();
-  for (const std::uint64_t lpn : lpns) {
-    if (!runs_scratch_.empty() &&
-        runs_scratch_.back().first + runs_scratch_.back().len == lpn) {
-      ++runs_scratch_.back().len;
-    } else {
-      runs_scratch_.push_back(Run{lpn, 1});
-    }
-  }
-  write_runs(runs_scratch_.data(), runs_scratch_.size(),
-             static_cast<std::uint32_t>(lpns.size()), std::move(done));
-}
-
 void Ftl::write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
                      sim::UniqueCallback done) {
   PAS_CHECK(nruns > 0);
@@ -351,15 +333,6 @@ void Ftl::issue_page_reads(sim::UniqueCallback done) {
   }
 }
 
-void Ftl::read_units(const std::vector<std::uint64_t>& lpns, sim::UniqueCallback done) {
-  PAS_CHECK(!lpns.empty());
-  PAS_CHECK(done != nullptr);
-  ensure_tables();
-  pages_scratch_.clear();
-  for (const std::uint64_t lpn : lpns) add_read_unit(lpn);
-  issue_page_reads(std::move(done));
-}
-
 void Ftl::read_runs(const Run* runs, std::size_t nruns, sim::UniqueCallback done) {
   PAS_CHECK(nruns > 0);
   PAS_CHECK(done != nullptr);
@@ -453,8 +426,8 @@ std::uint32_t Ftl::victim_pick_indexed() {
   }
   if (gc_min_bucket_ >= gc_head_.size()) return kNoVictim;  // no candidate
   // Bucket lists are head-inserted and therefore unordered; scanning the
-  // (small) minimum bucket for the lowest block index reproduces the legacy
-  // linear scan's first-lowest-index tie-break exactly.
+  // (small) minimum bucket for the lowest block index reproduces
+  // victim_scan_linear()'s first-lowest-index tie-break exactly.
   std::uint32_t best = kNoVictim;
   for (std::uint32_t b = gc_head_[gc_min_bucket_]; b != kUnmapped; b = gc_next_[b]) {
     best = std::min(best, b);
@@ -463,8 +436,8 @@ std::uint32_t Ftl::victim_pick_indexed() {
 }
 
 std::uint32_t Ftl::victim_scan_linear() const {
-  // The retired O(blocks) scan, kept verbatim as the reference the bucketed
-  // index is tested against.
+  // The plain O(blocks) scan: the test oracle the bucketed index is checked
+  // against (GcVictimIndexMatchesLinearScan).
   std::uint32_t victim = kNoVictim;
   std::uint32_t best_valid = 0xFFFFFFFFu;
   for (std::uint32_t i = 0; i < blocks_.size(); ++i) {

@@ -1,10 +1,8 @@
 // Run-length structures for the SSD write-buffer bookkeeping.
 //
-// The legacy datapath tracked buffered data one 512 B-class mapping unit at
-// a time: a 256 KiB host write performed 512 hash-map inserts on admission,
-// 512 erases on destage completion, and reads probed the map once per unit.
-// The flat datapath replaces that with runs: a host write is one RunFifo
-// append and one BufferedRanges interval op, regardless of size.
+// Buffered data is tracked as runs of logical mapping units, not unit by
+// unit: a host write is one RunFifo append and one BufferedRanges interval
+// op regardless of its size, and a destage hands the FTL a handful of runs.
 #pragma once
 
 #include <algorithm>
@@ -24,11 +22,11 @@ struct Run {
 };
 
 // FIFO of buffered logical units awaiting destage, stored as coalesced runs.
-// Expanding the runs in order reproduces the exact per-unit arrival sequence
-// the legacy deque held, so stripe assembly (pop_units) hands the FTL the
-// same lpn sequence the legacy path did — including duplicate lpns from
-// overlapping writes, which never coalesce (a merge requires strict
-// first+len == next contiguity).
+// Invariant: expanding the runs popped by pop_units, in order, yields the
+// per-unit arrival sequence of the host writes, duplicates included — the
+// lpn order the FTL programs and the parity baselines pin. Duplicate lpns
+// from overlapping writes never coalesce, because a merge requires strict
+// first+len == next contiguity.
 class RunFifo {
  public:
   bool empty() const { return runs_.empty(); }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/cell_spec.h"
 
@@ -173,6 +176,51 @@ TEST(Runner, ByteLimitedCellStillGetsFloor) {
 }
 
 TEST(Runner, DefaultJobsIsPositive) { EXPECT_GE(default_jobs(), 1); }
+
+// --- shared bench CLI: malformed numbers exit 2 naming the flag and value ---
+
+BenchCli parse_args(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_bench_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchCliDeathTest, ScaleMustBeFiniteAndPositive) {
+  EXPECT_DOUBLE_EQ(parse_args({"--scale", "0.5"}).experiment.io_limit_scale, 0.5);
+  EXPECT_EXIT(parse_args({"--scale", "nan"}), ::testing::ExitedWithCode(2),
+              "--scale expects a finite number > 0, got 'nan'");
+  EXPECT_EXIT(parse_args({"--scale", "inf"}), ::testing::ExitedWithCode(2),
+              "--scale expects .*, got 'inf'");
+  EXPECT_EXIT(parse_args({"--scale=-inf"}), ::testing::ExitedWithCode(2),
+              "--scale expects .*, got '-inf'");
+  EXPECT_EXIT(parse_args({"--scale", "0"}), ::testing::ExitedWithCode(2),
+              "--scale expects .*, got '0'");
+}
+
+TEST(BenchCliDeathTest, JobsMustBeANonNegativeIntFittingInt) {
+  EXPECT_EQ(parse_args({"--jobs", "0"}).jobs, 0);
+  EXPECT_EQ(parse_args({"--jobs", "2147483647"}).jobs, 2147483647);
+  EXPECT_EXIT(parse_args({"--jobs", "-3"}), ::testing::ExitedWithCode(2),
+              "--jobs expects a non-negative integer that fits an int, got '-3'");
+  EXPECT_EXIT(parse_args({"--jobs", "2.5"}), ::testing::ExitedWithCode(2),
+              "--jobs expects .*, got '2.5'");
+  EXPECT_EXIT(parse_args({"--jobs", "1e12"}), ::testing::ExitedWithCode(2),
+              "--jobs expects .*, got '1e12'");
+  EXPECT_EXIT(parse_args({"--jobs=2147483648"}), ::testing::ExitedWithCode(2),
+              "--jobs expects .*, got '2147483648'");
+}
+
+TEST(BenchCliDeathTest, SeedMustBeAnUnsignedIntegerWithoutSign) {
+  EXPECT_EQ(parse_args({"--seed", "18446744073709551615"}).experiment.seed,
+            UINT64_MAX);
+  EXPECT_EXIT(parse_args({"--seed", "-1"}), ::testing::ExitedWithCode(2),
+              "--seed expects an unsigned 64-bit integer, got '-1'");
+  EXPECT_EXIT(parse_args({"--seed", "+7"}), ::testing::ExitedWithCode(2),
+              "--seed expects .*, got '[+]7'");
+  EXPECT_EXIT(parse_args({"--seed", "18446744073709551616"}), ::testing::ExitedWithCode(2),
+              "--seed expects .*, got '18446744073709551616'");
+}
 
 }  // namespace
 }  // namespace pas::core

@@ -131,6 +131,72 @@ TEST(ReplayTrace, CsvRoundTripIsExact) {
   std::remove(path.c_str());
 }
 
+// Writes `body` to a fresh file under the test temp dir; returns its path.
+std::string write_csv(const std::string& name, const std::string& body) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr);
+  std::fputs(body.c_str(), f);
+  std::fclose(f);
+  return path;
+}
+
+// Every malformed record aborts naming the problem, the field and path:line.
+TEST(ReplayTraceDeathTest, NonNumericTimestampAfterDataIsRejected) {
+  const std::string path = write_csv("pas_ts_text.csv", "ts,op,lba,len\n0,R,0,4096\nx,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path),
+               "timestamp must be an unsigned integer, got 'x' at .*pas_ts_text.csv:3");
+}
+
+TEST(ReplayTraceDeathTest, BadOpIsRejected) {
+  const std::string path = write_csv("pas_bad_op.csv", "0,R,0,4096\n5,T,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path), "op must be R or W, got 'T' at .*pas_bad_op.csv:2");
+}
+
+TEST(ReplayTraceDeathTest, ZeroOrMissingLenIsRejected) {
+  const std::string zero = write_csv("pas_len_zero.csv", "0,W,8,0\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(zero), "len must be .*, got '0' at .*pas_len_zero.csv:1");
+  const std::string missing = write_csv("pas_len_missing.csv", "0,W,8,4096\n1,W,8\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(missing),
+               "len must be .*, got '' at .*pas_len_missing.csv:2");
+}
+
+TEST(ReplayTraceDeathTest, SignedFieldsAreRejected) {
+  // A signed timestamp on the first line is malformed, not a header row.
+  const std::string ts = write_csv("pas_signed_ts.csv", "-5,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(ts),
+               "timestamp must be an unsigned integer, got '-5' at .*pas_signed_ts.csv:1");
+  const std::string lba = write_csv("pas_signed_lba.csv", "0,R,-1,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(lba),
+               "lba must be an unsigned integer, got '-1' at .*pas_signed_lba.csv:1");
+  const std::string len = write_csv("pas_signed_len.csv", "0,R,0,+4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(len), "len must be .* at .*pas_signed_len.csv:1");
+}
+
+TEST(ReplayTraceDeathTest, OverflowingFieldsAreRejected) {
+  // 2^55 sectors * 512 B wraps a 64-bit byte offset to 0.
+  const std::string wrap = write_csv("pas_lba_wrap.csv", "0,R,36028797018963968,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(wrap),
+               "lba overflows a 64-bit byte offset, got '36028797018963968'");
+  // 23 digits: strtoull would saturate silently.
+  const std::string big = write_csv("pas_lba_big.csv", "0,R,12345678901234567890123,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(big), "lba overflows a 64-bit byte offset");
+  const std::string ts = write_csv("pas_ts_big.csv", "9223372036854775808,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(ts),
+               "timestamp exceeds INT64_MAX ns, got '9223372036854775808' at .*pas_ts_big.csv:1");
+}
+
+TEST(ReplayTraceDeathTest, DecreasingTimestampNamesTheLine) {
+  const std::string path = write_csv("pas_ts_back.csv", "10,R,0,4096\n# note\n5,W,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path),
+               "timestamp decreases, got '5' at .*pas_ts_back.csv:3");
+}
+
+TEST(ReplayTraceDeathTest, FileWithoutRecordsIsRejected) {
+  const std::string path = write_csv("pas_empty.csv", "timestamp,op,lba,len\n# none\n\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path), "no records in .*pas_empty.csv");
+}
+
 TEST(ReplayEngine, ReplaysEveryRecord) {
   sim::Simulator sim;
   RecordingDevice dev(sim);

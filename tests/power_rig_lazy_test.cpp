@@ -3,7 +3,9 @@
 // SAME power schedule from twin simulators and must emit byte-identical
 // samples in every retention mode (trace, sample sink, streaming-only),
 // integrating and instantaneous, calibrated and not, at 1 kHz and the
-// decimated 100 Hz — including when the lazy trace is read mid-run.
+// decimated 100 Hz — including when the lazy trace is read mid-run. This is
+// the only place config.event_driven is set: the per-tick path exists as
+// this test's oracle.
 #include <gtest/gtest.h>
 
 #include <cstring>

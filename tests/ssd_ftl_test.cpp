@@ -55,9 +55,8 @@ struct FtlHarness {
   void write_stripes(std::uint64_t first, int stripes) {
     const std::uint32_t per = ftl.units_per_stripe();
     for (int s = 0; s < stripes; ++s) {
-      std::vector<std::uint64_t> lpns;
-      for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(first + s * per + u);
-      ftl.write_units(lpns, [] {});
+      const ssd::Run run{first + s * per, per};
+      ftl.write_runs(&run, 1, per, [] {});
     }
     sim.run_to_completion();
   }
@@ -83,7 +82,8 @@ TEST(Ftl, WriteMapsUnits) {
 TEST(Ftl, WriteCallbackFiresAfterProgram) {
   FtlHarness h;
   bool done = false;
-  h.ftl.write_units({0, 1, 2}, [&] { done = true; });
+  const ssd::Run run{0, 3};
+  h.ftl.write_runs(&run, 1, 3, [&] { done = true; });
   EXPECT_FALSE(done);
   h.sim.run_to_completion();
   EXPECT_TRUE(done);
@@ -91,7 +91,8 @@ TEST(Ftl, WriteCallbackFiresAfterProgram) {
 
 TEST(Ftl, PartialStripeAllowed) {
   FtlHarness h;
-  h.ftl.write_units({42}, [] {});
+  const ssd::Run run{42, 1};
+  h.ftl.write_runs(&run, 1, 1, [] {});
   h.sim.run_to_completion();
   EXPECT_TRUE(h.ftl.is_mapped(42));
   EXPECT_EQ(h.ftl.stats().host_units_written, 1u);
@@ -99,8 +100,9 @@ TEST(Ftl, PartialStripeAllowed) {
 
 TEST(Ftl, OversizeStripeAborts) {
   FtlHarness h;
-  std::vector<std::uint64_t> lpns(h.ftl.units_per_stripe() + 1, 0);
-  EXPECT_DEATH(h.ftl.write_units(lpns, [] {}), "");
+  const std::uint32_t units = h.ftl.units_per_stripe() + 1;
+  const ssd::Run run{0, units};
+  EXPECT_DEATH(h.ftl.write_runs(&run, 1, units, [] {}), "");
 }
 
 TEST(Ftl, ReadCoalescesByPhysicalPage) {
@@ -108,7 +110,8 @@ TEST(Ftl, ReadCoalescesByPhysicalPage) {
   h.write_stripes(0, 1);  // lpns 0..7 in one stripe = 2 physical pages
   h.reads = 0;
   bool done = false;
-  h.ftl.read_units({0, 1, 2, 3}, [&] { done = true; });  // all in page 0
+  const ssd::Run run{0, 4};  // all in page 0
+  h.ftl.read_runs(&run, 1, [&] { done = true; });
   h.sim.run_to_completion();
   EXPECT_TRUE(done);
   EXPECT_EQ(h.reads, 1);
@@ -118,7 +121,8 @@ TEST(Ftl, ReadSpanningPagesIssuesMultiple) {
   FtlHarness h;
   h.write_stripes(0, 1);
   h.reads = 0;
-  h.ftl.read_units({0, 1, 2, 3, 4, 5, 6, 7}, [] {});
+  const ssd::Run run{0, 8};
+  h.ftl.read_runs(&run, 1, [] {});
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 2);  // two 16 KiB pages in the stripe
 }
@@ -126,7 +130,8 @@ TEST(Ftl, ReadSpanningPagesIssuesMultiple) {
 TEST(Ftl, UnmappedReadHitsPseudoMedia) {
   FtlHarness h;
   bool done = false;
-  h.ftl.read_units({100}, [&] { done = true; });
+  const ssd::Run run{100, 1};
+  h.ftl.read_runs(&run, 1, [&] { done = true; });
   h.sim.run_to_completion();
   EXPECT_TRUE(done);
   EXPECT_EQ(h.reads, 1);  // pseudo-location read
@@ -137,7 +142,8 @@ TEST(Ftl, UnmappedReadSkipsMediaWhenDisabled) {
   cfg.unmapped_read_hits_media = false;
   FtlHarness h(cfg);
   bool done = false;
-  h.ftl.read_units({100}, [&] { done = true; });
+  const ssd::Run run{100, 1};
+  h.ftl.read_runs(&run, 1, [&] { done = true; });
   EXPECT_TRUE(done);  // synchronous completion, no NAND
   EXPECT_EQ(h.reads, 0);
 }
@@ -149,7 +155,8 @@ TEST(Ftl, OverwriteInvalidatesOldMapping) {
   EXPECT_EQ(h.ftl.stats().host_units_written, 16u);
   // Still mapped; reading them issues page reads against the new location.
   h.reads = 0;
-  h.ftl.read_units({0}, [] {});
+  const ssd::Run run{0, 1};
+  h.ftl.read_runs(&run, 1, [] {});
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 1);
 }
@@ -162,9 +169,8 @@ TEST(Ftl, GcTriggersUnderFreePressure) {
   const std::uint32_t per = h.ftl.units_per_stripe();
   for (std::uint64_t pass = 0; pass < 3; ++pass) {
     for (std::uint64_t l = 0; l + per <= total; l += per) {
-      std::vector<std::uint64_t> lpns;
-      for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(l + u);
-      h.ftl.write_units(lpns, [] {});
+      const ssd::Run run{l, per};
+      h.ftl.write_runs(&run, 1, per, [] {});
       h.sim.run_to_completion();
     }
   }
@@ -183,13 +189,10 @@ TEST(Ftl, RandomOverwriteWorkloadKeepsMapConsistent) {
   const std::uint32_t per = h.ftl.units_per_stripe();
   std::vector<bool> written(total, false);
   for (int i = 0; i < 3000; ++i) {
-    std::vector<std::uint64_t> lpns;
     const std::uint64_t base = rng.next_below(total - per);
-    for (std::uint32_t u = 0; u < per; ++u) {
-      lpns.push_back(base + u);
-      written[base + u] = true;
-    }
-    h.ftl.write_units(lpns, [] {});
+    for (std::uint32_t u = 0; u < per; ++u) written[base + u] = true;
+    const ssd::Run run{base, per};
+    h.ftl.write_runs(&run, 1, per, [] {});
     if (i % 16 == 0) h.sim.run_to_completion();
   }
   h.sim.run_to_completion();
@@ -223,10 +226,8 @@ TEST(Ftl, PreconditionThenOverwriteTriggersGcButStaysLive) {
   const auto total = h.ftl.total_units();
   const std::uint32_t per = h.ftl.units_per_stripe();
   for (int i = 0; i < 128; ++i) {
-    std::vector<std::uint64_t> lpns;
-    const std::uint64_t base = rng.next_below(total - per);
-    for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(base + u);
-    h.ftl.write_units(lpns, [] {});
+    const ssd::Run run{rng.next_below(total - per), per};
+    h.ftl.write_runs(&run, 1, per, [] {});
     h.sim.run_to_completion();
   }
   EXPECT_TRUE(h.ftl.quiescent());
