@@ -26,8 +26,8 @@
 // budget cannot be planned.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -627,14 +627,19 @@ int run_diurnal(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
 
 int main(int argc, char** argv) {
   using namespace pas;
-  long devices = -1;  // default depends on the profile: paper 3, diurnal 1000
-  long shards = 1;
+  std::size_t devices = 0;  // 0: profile default (paper 3, standby 256, diurnal 1000)
+  std::size_t shards = 1;
   std::string profile = "paper";
+  auto count_flag = [&](const char* flag, const char* v) {
+    return static_cast<std::size_t>(core::parse_unsigned_flag(
+        argv[0], flag, "an integer in [1, 2147483647]", v, 1,
+        std::numeric_limits<int>::max()));
+  };
   const core::BenchFlag extra[] = {
       {"--devices", "N", "fleet size (default: 3 paper, 1000 diurnal)",
-       [&](const char* v) { devices = std::atol(v); }},
+       [&](const char* v) { devices = count_flag("--devices", v); }},
       {"--shards", "K", "shard count (default 1)",
-       [&](const char* v) { shards = std::atol(v); }},
+       [&](const char* v) { shards = count_flag("--shards", v); }},
       {"--profile", "P", "paper | diurnal | standby (default paper)",
        [&](const char* v) { profile = v; }},
   };
@@ -644,21 +649,14 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  if (devices < 0) devices = profile == "paper" ? 3 : profile == "standby" ? 256 : 1000;
-  if (devices < 1 || shards < 1) {
-    std::fprintf(stderr, "%s: --devices and --shards must be >= 1\n", argv[0]);
-    return 2;
-  }
+  if (devices == 0) devices = profile == "paper" ? 3 : profile == "standby" ? 256 : 1000;
 
   ResultSink sink("fleet_scenario", cli.csv_dir);
   if (profile == "paper") {
-    return run_paper(cli, sink, static_cast<std::size_t>(devices),
-                     static_cast<std::size_t>(shards));
+    return run_paper(cli, sink, devices, shards);
   }
   if (profile == "standby") {
-    return run_standby(cli, sink, static_cast<std::size_t>(devices),
-                       static_cast<std::size_t>(shards));
+    return run_standby(cli, sink, devices, shards);
   }
-  return run_diurnal(cli, sink, static_cast<std::size_t>(devices),
-                     static_cast<std::size_t>(shards));
+  return run_diurnal(cli, sink, devices, shards);
 }

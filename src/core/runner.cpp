@@ -23,6 +23,12 @@ double elapsed_seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
+[[noreturn]] void reject_flag(const char* prog, const char* flag, const char* what,
+                              const char* v) {
+  std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", prog, flag, what, v);
+  std::exit(2);
+}
+
 }  // namespace
 
 int default_jobs() {
@@ -109,6 +115,18 @@ std::vector<ExperimentOutput> CampaignRunner::run(const std::vector<CellSpec>& c
   return outputs;
 }
 
+std::uint64_t parse_unsigned_flag(const char* prog, const char* flag, const char* what,
+                                  const char* v, std::uint64_t min, std::uint64_t max) {
+  // Decimal digits only: no sign, no exponent, no trailing text.
+  if (*v == '\0' || std::strspn(v, "0123456789") != std::strlen(v)) {
+    reject_flag(prog, flag, what, v);
+  }
+  errno = 0;
+  const unsigned long long x = std::strtoull(v, nullptr, 10);
+  if (errno == ERANGE || x < min || x > max) reject_flag(prog, flag, what, v);
+  return x;
+}
+
 BenchCli parse_bench_cli(int argc, char** argv, double default_scale) {
   return parse_bench_cli(argc, argv, default_scale, {});
 }
@@ -127,19 +145,6 @@ BenchCli parse_bench_cli(int argc, char** argv, double default_scale,
     }
     return argv[++i];
   };
-  auto reject = [&](const char* flag, const char* what, const char* v) {
-    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", argv[0], flag, what, v);
-    std::exit(2);
-  };
-  // Decimal digits only (no sign, no exponent) and at most `max`.
-  auto unsigned_integer = [&](const char* flag, const char* what, const char* v,
-                              std::uint64_t max) -> std::uint64_t {
-    if (*v == '\0' || std::strspn(v, "0123456789") != std::strlen(v)) reject(flag, what, v);
-    errno = 0;
-    const unsigned long long x = std::strtoull(v, nullptr, 10);
-    if (errno == ERANGE || x > max) reject(flag, what, v);
-    return x;
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
       cli.experiment.io_limit_scale = 1.0;
@@ -149,18 +154,19 @@ BenchCli parse_bench_cli(int argc, char** argv, double default_scale,
       char* end = nullptr;
       const double scale = std::strtod(v, &end);
       if (end == v || *end != '\0' || !std::isfinite(scale) || scale <= 0.0) {
-        reject("--scale", "a finite number > 0", v);
+        reject_flag(argv[0], "--scale", "a finite number > 0", v);
       }
       cli.experiment.io_limit_scale = scale;
     } else if (const char* v = value_of(i, "--jobs")) {
-      cli.jobs = static_cast<int>(unsigned_integer(
-          "--jobs", "a non-negative integer that fits an int", v,
+      cli.jobs = static_cast<int>(parse_unsigned_flag(
+          argv[0], "--jobs", "a non-negative integer that fits an int", v, 0,
           std::numeric_limits<int>::max()));
     } else if (const char* v = value_of(i, "--csv-dir")) {
       cli.csv_dir = v;
     } else if (const char* v = value_of(i, "--seed")) {
-      cli.experiment.seed = unsigned_integer("--seed", "an unsigned 64-bit integer", v,
-                                             std::numeric_limits<std::uint64_t>::max());
+      cli.experiment.seed =
+          parse_unsigned_flag(argv[0], "--seed", "an unsigned 64-bit integer", v, 0,
+                              std::numeric_limits<std::uint64_t>::max());
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "usage: %s [--full | --quick | --scale F] [--jobs N] [--csv-dir DIR] [--seed S]%s\n"

@@ -99,6 +99,14 @@ struct BenchFlag {
   std::function<void(const char*)> apply;
 };
 
+// Parses `v`, the value given for option `flag`, as a decimal integer in
+// [min, max]: digits only (no sign, exponent or trailing text) and no
+// overflow. Otherwise prints "<prog>: <flag> expects <what>, got '<v>'" to
+// stderr and exits 2. parse_bench_cli reads --jobs and --seed with it; a
+// bench's integer BenchFlags should too.
+std::uint64_t parse_unsigned_flag(const char* prog, const char* flag, const char* what,
+                                  const char* v, std::uint64_t min, std::uint64_t max);
+
 // parse_bench_cli with bench-specific extensions (e.g. bench_fleet_scenario's
 // --devices/--shards/--profile). Unknown options still exit 2.
 BenchCli parse_bench_cli(int argc, char** argv, double default_scale,

@@ -82,7 +82,9 @@ class Testbed final : public FleetHost {
   // Callable repeatedly: phased scenarios add jobs, run, add more, run.
   void run_jobs() override;
   // Epoch-bounded variant: starts pending jobs, then advances to exactly
-  // `until` via iogen::drive_until. Returns true when every job finished.
+  // `until` (sim().run_until). Returns true when every job finished. A
+  // drained queue is not an error here: an all-idle shard coasts to the
+  // boundary.
   bool run_epoch(TimeNs until) override;
   // Advances the (possibly idle) timeline by dt; the clock lands exactly on
   // now() + dt.

@@ -30,9 +30,16 @@ namespace pas::iogen {
 class IoEngine {
  public:
   IoEngine(sim::Simulator& sim, sim::BlockDevice& device, JobSpec spec);
+  // Cancels a pending arrival wake, so no wake outlives its engine.
+  ~IoEngine();
+  // The device's completion callbacks and the wake event capture `this`.
+  IoEngine(const IoEngine&) = delete;
+  IoEngine& operator=(const IoEngine&) = delete;
 
   // Starts issuing; `on_done` fires once all in-flight IOs have completed
-  // after a stop condition is reached.
+  // after a stop condition is reached. An open-loop engine issues the
+  // arrivals due now and schedules its own wake on the simulator for the
+  // next one (capped by the deadline).
   void start(std::function<void()> on_done);
 
   bool finished() const { return finished_; }
@@ -40,27 +47,20 @@ class IoEngine {
   int in_flight() const { return in_flight_; }
   const JobSpec& spec() const { return spec_; }
 
-  // Open-loop support, consumed by drive()/drive_until():
-  bool open_loop() const { return spec_.arrival.kind != ArrivalKind::kClosedLoop; }
-  // Absolute simulation time this engine next needs the driver's attention
-  // (its next arrival, capped by its deadline); kNoArrival for closed-loop
-  // engines and once the arrival stream is exhausted. An engine whose wake
-  // time has passed has work pending in pump().
-  TimeNs next_wake() const;
-  // Issue every arrival due at or before now(). No-op for closed-loop
-  // engines. Safe to call at any time; the driver calls it after each
-  // simulator advance.
-  void pump();
-
   // Bytes handed to the device so far (diagnostics for stuck-job reports).
   std::uint64_t issued_bytes() const { return issued_bytes_; }
 
  private:
+  bool open_loop() const { return spec_.arrival.kind != ArrivalKind::kClosedLoop; }
   bool limits_reached() const;
   TimeNs next_arrival() const;
   void issue(const PatternIo& io);
   bool issue_next();  // pattern -> device; false when the pattern is dry
   void fill_pipe();
+  // Open-loop wake handler: issues every arrival due at or before now(),
+  // then re-arms the wake for the next arrival (capped by the deadline) or,
+  // once limits or the pattern end the stream, stops arming.
+  void pump();
   void maybe_finish();
   void on_complete(const sim::IoCompletion& c, bool rmw);
 
@@ -81,26 +81,21 @@ class IoEngine {
   // No further arrivals will be issued (limits hit or pattern dry); the job
   // finishes when the pipe drains.
   bool exhausted_ = false;
+  // Pending open-loop wake (kInvalidEvent when none is armed).
+  sim::Simulator::EventId wake_ = sim::Simulator::kInvalidEvent;
 };
 
 // THE "advance the simulator until the jobs finish" loop: steps `sim` until
 // every started engine reports finished(). There is exactly one such loop in
-// the repo — run_job and core::Testbed both drive through it — so the
-// stop/drain semantics cannot diverge between the single-device and fleet
-// paths. Open-loop engines are woken at their arrival times, so an idle gap
-// between sparse arrivals (empty event queue, future arrival) advances the
-// clock to the next arrival rather than aborting. Aborts — naming each
-// unfinished engine, its in-flight count, and its issued bytes — only when
-// the queue drains with no pending arrival (a genuinely stuck job).
+// the repo — run_job and core::Testbed::run_jobs both drive through it — and
+// it treats closed- and open-loop jobs alike: open-loop arrivals are kernel
+// events the engines schedule themselves, so an idle gap between sparse
+// arrivals is an ordinary pending event, and same-time events (arrival
+// wakes included) fire FIFO in scheduling order whether the timeline is
+// stepped here or in epochs (core::Testbed::run_epoch's sim.run_until).
+// Aborts — naming each unfinished engine, its in-flight count, and its
+// issued bytes — when the queue drains first (a genuinely stuck job).
 void drive(sim::Simulator& sim, std::span<IoEngine* const> engines);
-
-// Epoch-bounded variant for barrier-stepped fleets: advances `sim` to
-// exactly `until` (events and arrivals at or before `until` fire, then the
-// clock lands on `until`), whether or not the jobs have finished. Returns
-// true once every engine reports finished(). Unlike drive(), a drained event
-// queue is not an error here — an all-idle shard simply coasts to the epoch
-// boundary.
-bool drive_until(sim::Simulator& sim, std::span<IoEngine* const> engines, TimeNs until);
 
 // Convenience: run one job to completion on a fresh simulator timeline,
 // returning the result. The simulator is advanced until the job finishes.

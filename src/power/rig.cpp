@@ -128,13 +128,12 @@ void MeasurementRig::flush_pending() {
     // Exact integer grid arithmetic: the i-th pending tick's timestamp.
     const TimeNs t = pending_first_t_ + static_cast<TimeNs>(i) * period;
     const Watts measured = measure_once(pending_raw_[i]);
-    // Retention: the trace is the default; a sink and/or streaming stats
-    // replace it (rack-scale modes — no per-device trace is kept). Same
-    // dispatch, same order, as the per-tick reference path.
-    if (sink_) sink_(t, measured);
-    if (stats_ != nullptr) {
-      stats_->add(t, measured);
-    } else if (!sink_) {
+    // Retention: the trace is the default; a sink replaces it (rack scale:
+    // no per-device trace is kept). Same dispatch, same order, as the
+    // per-tick reference path.
+    if (sink_) {
+      sink_(t, measured);
+    } else {
       trace_.add(t, measured);
     }
   }
@@ -163,38 +162,16 @@ void MeasurementRig::set_sample_sink(SampleSink sink) {
 
 void MeasurementRig::set_sample_period(TimeNs period) {
   PAS_CHECK(period > 0);
-  // Lifetime precondition, across EVERY retention mode: a sample already
-  // handed to a sink or folded into streaming stats is as immutable as one
-  // retained in the trace, so re-timing after any of them would silently
-  // bend the grid under the consumer.
+  // Lifetime precondition, sink dispatch included: a sample already handed
+  // to a sink is as immutable as one retained in the trace, so re-timing
+  // after either would silently bend the grid under the consumer.
   if (started_) fail("re-time the ADC while the rig is stopped");
-  if (samples_emitted_ != 0 || !pending_raw_.empty() || !trace_.empty() ||
-      (stats_ != nullptr && stats_->count() != 0)) {
+  if (samples_emitted_ != 0 || !pending_raw_.empty() || !trace_.empty()) {
     fail("re-time the ADC before any sample is taken (samples already "
-         "dispatched to the trace, sink, or streaming stats)");
+         "dispatched to the trace or sink)");
   }
   config_.sample_period = period;
   task_.set_period(period);
-}
-
-void MeasurementRig::enable_streaming(TimeNs window) {
-  if (started_) fail("enable streaming while the rig is stopped");
-  if (!trace_.empty()) fail("streaming cannot start mid-trace");
-  stats_ = std::make_unique<StreamingTraceStats>(window);
-}
-
-const StreamingTraceStats& MeasurementRig::streaming_stats() const {
-  if (stats_ == nullptr) fail("rig is not in streaming_only mode");
-  const_cast<MeasurementRig*>(this)->materialize();
-  return *stats_;
-}
-
-TraceSummary MeasurementRig::take_streaming_summary() {
-  if (stats_ == nullptr) fail("rig is not in streaming_only mode");
-  materialize();
-  TraceSummary out = stats_->summary();
-  stats_->reset();
-  return out;
 }
 
 Watts MeasurementRig::measure_once(Watts true_power) {
@@ -235,10 +212,9 @@ void MeasurementRig::sample() {
     true_power = device_.instantaneous_power();
   }
   const Watts measured = measure_once(true_power);
-  if (sink_) sink_(now, measured);
-  if (stats_ != nullptr) {
-    stats_->add(now, measured);
-  } else if (!sink_) {
+  if (sink_) {
+    sink_(now, measured);
+  } else {
     trace_.add(now, measured);
   }
   ++samples_emitted_;

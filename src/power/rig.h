@@ -26,12 +26,10 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "power/streaming.h"
 #include "power/trace.h"
 #include "sim/block_device.h"
 #include "sim/power_signal.h"
@@ -93,12 +91,10 @@ class MeasurementRig : private sim::PowerObserver {
   const PowerTrace& trace() const;
   PowerTrace take_trace();
 
-  // --- rack-scale retention modes ---
-  // By default every measured sample is appended to trace(). Either mode
-  // below replaces that unbounded retention; both must be configured while
-  // the rig is stopped and are mutually composable (sink + streaming).
-  //
-  // Sample sink: each measured sample is handed to `sink` instead of being
+  // --- rack-scale retention ---
+  // By default every measured sample is appended to trace(). A sample sink
+  // replaces that unbounded retention (configure it while the rig is
+  // stopped): each measured sample is handed to `sink` instead of being
   // retained here. The sharded testbed taps every rig of a shard into one
   // per-shard fleet-sum accumulator this way, so a rack of rigs holds no
   // per-device traces at all. Pass nullptr to restore trace retention.
@@ -109,14 +105,6 @@ class MeasurementRig : private sim::PowerObserver {
   // Only while stopped and before any sample has been taken — in ANY
   // retention mode, sink dispatch included; the error names the rig.
   void set_sample_period(TimeNs period);
-  // streaming_only mode: O(window)-memory running statistics replace the
-  // trace. streaming_stats().summary() is bit-identical to
-  // trace().analyze(window) over the same samples (asserted in tests).
-  void enable_streaming(TimeNs window);
-  bool streaming_only() const { return stats_ != nullptr; }
-  const StreamingTraceStats& streaming_stats() const;
-  // Current summary, then forgets the samples seen so far (phase boundary).
-  TraceSummary take_streaming_summary();
 
   const RigConfig& config() const { return config_; }
 
@@ -147,9 +135,8 @@ class MeasurementRig : private sim::PowerObserver {
   RigConfig config_;
   Rng rng_;
   PowerTrace trace_;
-  SampleSink sink_;                            // null: retain samples locally
-  std::unique_ptr<StreamingTraceStats> stats_; // null: full-trace retention
-  sim::PeriodicTask task_;                     // armed only when event_driven
+  SampleSink sink_;          // null: retain samples locally
+  sim::PeriodicTask task_;   // armed only when event_driven
 
   // Actual (imperfect) chain constants, drawn once at construction.
   double actual_shunt_ohms_;
@@ -178,7 +165,7 @@ class MeasurementRig : private sim::PowerObserver {
   TimeNs next_tick_ = 0;
   TimeNs pending_first_t_ = 0;
   std::vector<double> pending_raw_;
-  std::uint64_t samples_emitted_ = 0;  // lifetime, across ALL retention modes
+  std::uint64_t samples_emitted_ = 0;  // lifetime, trace and sink alike
 };
 
 }  // namespace pas::power

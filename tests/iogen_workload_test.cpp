@@ -254,9 +254,9 @@ TEST(OpenLoopEngine, PoissonJobIsDeterministic) {
 }
 
 TEST(OpenLoopEngine, IdleGapsAdvanceInsteadOfAborting) {
-  // One short burst every 5 s: between bursts the simulator's queue is
-  // completely drained, which the closed-loop driver would report as a
-  // stuck engine. The open-loop driver must jump to the next arrival.
+  // One short burst every 5 s: between bursts no IO is in flight, and only
+  // the engine's own arrival wake is pending. drive() must step to it, not
+  // report a stuck engine.
   sim::Simulator sim;
   FakePowerDevice dev(sim);
   JobSpec s;
@@ -274,6 +274,101 @@ TEST(OpenLoopEngine, IdleGapsAdvanceInsteadOfAborting) {
   const JobResult r = run_job(sim, dev, s);
   EXPECT_GT(r.ios, 0u);
   EXPECT_GE(sim.now(), seconds(11));
+}
+
+// Logs every submit and completion as "S<ms>" / "C<ms>" in the order the
+// simulator runs them, so a test can compare interleavings.
+class LoggingDevice : public FakePowerDevice {
+ public:
+  explicit LoggingDevice(sim::Simulator& sim)
+      : FakePowerDevice(sim, 0.0, milliseconds(1)), sim_(sim) {}
+
+  void submit(const sim::IoRequest& req, sim::IoCallback done) override {
+    log.push_back("S" + std::to_string(sim_.now() / milliseconds(1)));
+    FakePowerDevice::submit(req, [this, done = std::move(done)](const sim::IoCompletion& c) {
+      log.push_back("C" + std::to_string(c.complete_time / milliseconds(1)));
+      done(c);
+    });
+  }
+
+  std::vector<std::string> log;
+
+ private:
+  sim::Simulator& sim_;
+};
+
+TEST(OpenLoopEngine, SameTimeArrivalOrderDoesNotDependOnStepping) {
+  // The third arrival lands exactly when the first two IOs complete. An
+  // arrival is a kernel event scheduled after those completions, so it
+  // fires after both, however the timeline is advanced.
+  JobSpec s;
+  s.pattern_kind = PatternKind::kTraceReplay;
+  s.arrival.kind = ArrivalKind::kTrace;
+  s.trace = std::make_shared<const ReplayTrace>(ReplayTrace::from_records({
+      {0, sim::IoOp::kRead, 0, 4096},
+      {0, sim::IoOp::kRead, 4096, 4096},
+      {milliseconds(1), sim::IoOp::kRead, 8192, 4096},
+  }));
+  s.region_bytes = 1 * GiB;
+  s.io_limit_bytes = 0;
+  s.time_limit = seconds(1);
+
+  std::vector<std::string> driven;
+  {
+    sim::Simulator sim;
+    LoggingDevice dev(sim);
+    run_job(sim, dev, s);
+    driven = dev.log;
+  }
+  std::vector<std::string> stepped;
+  {
+    // Epoch stepping as core::Testbed::run_epoch does it: run_until slices.
+    sim::Simulator sim;
+    LoggingDevice dev(sim);
+    IoEngine engine(sim, dev, s);
+    engine.start(nullptr);
+    for (int epoch = 0; epoch < 10 && !engine.finished(); ++epoch) {
+      sim.run_until(sim.now() + milliseconds(5));
+    }
+    EXPECT_TRUE(engine.finished());
+    stepped = dev.log;
+  }
+  const std::vector<std::string> expected = {"S0", "S0", "C1", "C1", "S1", "C2"};
+  EXPECT_EQ(driven, expected);
+  EXPECT_EQ(stepped, expected);
+}
+
+TEST(OpenLoopEngine, ByteLimitLeavesNoWakePending) {
+  {
+    // The pump itself notices the limit and arms no further wake.
+    sim::Simulator sim;
+    FakePowerDevice dev(sim);
+    JobSpec s = poisson_read_spec(1000.0, seconds(60));
+    s.io_limit_bytes = 64 * 4096;
+    const JobResult r = run_job(sim, dev, s);
+    EXPECT_EQ(r.ios, 64u);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
+  {
+    // Each read's write-back is issued on its completion, long before the
+    // next arrival, so the write-back that fills the byte budget does so
+    // with a wake armed: on_complete must cancel it. The engine is still
+    // alive when the queue is checked, so its destructor cannot help.
+    sim::Simulator sim;
+    RecordingDevice dev(sim);
+    JobSpec s = poisson_read_spec(100.0, seconds(60));
+    s.pattern_kind = PatternKind::kKeyspace;
+    s.key_count = 64;
+    s.rmw_pct = 100;
+    s.io_limit_bytes = 10 * 4096;
+    IoEngine engine(sim, dev, s);
+    engine.start(nullptr);
+    IoEngine* const e = &engine;
+    drive(sim, {&e, 1});
+    ASSERT_EQ(dev.requests.size(), 10u);
+    EXPECT_EQ(dev.requests.back().op, sim::IoOp::kWrite);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
 }
 
 TEST(SloAccounting, CountsCompletionsSlowerThanTheTarget) {

@@ -1,7 +1,7 @@
 // Bit-identity matrix for segment-lazy rig sampling (DESIGN.md section 13):
 // a lazy rig and a per-tick reference rig (config.event_driven) observe the
 // SAME power schedule from twin simulators and must emit byte-identical
-// samples in every retention mode (trace, sample sink, streaming-only),
+// samples in both retention modes (trace, sample sink),
 // integrating and instantaneous, calibrated and not, at 1 kHz and the
 // decimated 100 Hz — including when the lazy trace is read mid-run. This is
 // the only place config.event_driven is set: the per-tick path exists as
@@ -65,7 +65,7 @@ void expect_identical_traces(const PowerTrace& lazy, const PowerTrace& ref) {
   }
 }
 
-enum class Retention { kTrace, kSink, kStreaming };
+enum class Retention { kTrace, kSink };
 
 void run_matrix_case(Retention retention, bool integrating, bool calibrated,
                      TimeNs period, bool read_mid_run) {
@@ -86,8 +86,6 @@ void run_matrix_case(Retention retention, bool integrating, bool calibrated,
   for (Column* c : {&lazy, &ref}) {
     if (retention == Retention::kSink) {
       c->rig.set_sample_sink([c](TimeNs t, Watts w) { c->sunk.emplace_back(t, w); });
-    } else if (retention == Retention::kStreaming) {
-      c->rig.enable_streaming(milliseconds(50));
     }
     c->rig.start();
   }
@@ -117,23 +115,11 @@ void run_matrix_case(Retention retention, bool integrating, bool calibrated,
       }
       break;
     }
-    case Retention::kStreaming: {
-      const TraceSummary a = lazy.rig.take_streaming_summary();
-      const TraceSummary b = ref.rig.take_streaming_summary();
-      ASSERT_EQ(a.count, b.count);
-      ASSERT_GT(a.count, 0u);
-      ASSERT_EQ(a.min_w, b.min_w);
-      ASSERT_EQ(a.max_w, b.max_w);
-      ASSERT_EQ(a.mean_w, b.mean_w);
-      ASSERT_EQ(a.max_window_w, b.max_window_w);
-      break;
-    }
   }
 }
 
 TEST(SegmentLazyMatrix, AllModesBitIdentical) {
-  for (Retention retention :
-       {Retention::kTrace, Retention::kSink, Retention::kStreaming}) {
+  for (Retention retention : {Retention::kTrace, Retention::kSink}) {
     for (bool integrating : {true, false}) {
       for (bool calibrated : {true, false}) {
         for (TimeNs period : {milliseconds(1), milliseconds(10)}) {
@@ -211,8 +197,8 @@ TEST(SegmentLazyMatrix, StopRestartMatchesReference) {
   expect_identical_traces(lazy.rig.trace(), ref.rig.trace());
 }
 
-// The set_sample_period lifetime precondition holds across EVERY retention
-// mode: once a sample has been dispatched anywhere (sink included), re-timing
+// The set_sample_period lifetime precondition holds in both retention
+// modes: once a sample has been dispatched anywhere (sink included), re-timing
 // aborts with an error naming the rig.
 TEST(SegmentLazyMatrixDeathTest, RetimeAfterSinkDispatchAborts) {
   sim::Simulator sim;

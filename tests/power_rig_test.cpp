@@ -162,5 +162,18 @@ TEST(MeasurementRig, ZeroPowerReadsNearZero) {
   EXPECT_LT(rig.trace().mean_power(), 0.05);
 }
 
+// set_sample_period, as the rack's streaming-sum rigs use it (1 kHz ->
+// 100 Hz decimation).
+TEST(MeasurementRigStreaming, DecimatedRigSamplesAtTheNewRate) {
+  sim::Simulator sim;
+  FakePowerDevice dev(sim, 4.0);
+  MeasurementRig rig(sim, dev, RigConfig{}, 7);
+  rig.set_sample_period(milliseconds(10));  // 1 kHz -> 100 Hz
+  rig.start();
+  sim.run_until(seconds(2));
+  rig.stop();
+  EXPECT_EQ(rig.trace().size(), 200u);
+}
+
 }  // namespace
 }  // namespace pas::power
