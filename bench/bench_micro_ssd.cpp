@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the SSD IO datapath: closed-loop
 // write / read / mixed traffic at queue depths 1 / 8 / 32 and chunk sizes
 // 4 KiB / 256 KiB, plus a heap-allocation-per-IO counter (the datapath's
-// contract is zero steady-state allocations on the write path).
+// contract is zero steady-state allocations on the write path), and the
+// cost of a fresh drive's first IO, which builds its FTL tables.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <new>
 
 #include "common/units.h"
+#include "devices/specs.h"
 #include "sim/block_device.h"
 #include "sim/simulator.h"
 #include "ssd/config.h"
@@ -155,6 +157,32 @@ void BM_SsdRead(benchmark::State& state) { run_case(state, Mode::kRead); }
 BENCHMARK(BM_SsdRead) PAS_SSD_BENCH_ARGS;
 void BM_SsdMixed(benchmark::State& state) { run_case(state, Mode::kMixed); }
 BENCHMARK(BM_SsdMixed) PAS_SSD_BENCH_ARGS;
+
+// One iteration = one drive: build an SSD2 (16 GiB) device, complete its
+// first 4 KiB write, run until the write buffer has destaged it to NAND
+// (which builds the FTL tables) and tear the drive down. allocs_per_drive
+// counts the operator-new allocations of that whole life; the FTL's three
+// calloc'd per-unit tables come on top.
+void BM_SsdFirstIo(benchmark::State& state) {
+  const std::uint64_t a0 = g_alloc_count.load(std::memory_order_relaxed);
+  std::int64_t drives = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    auto dev = devices::make_ssd(devices::DeviceId::kSsd2, sim, 7);
+    bool done = false;
+    dev->submit(sim::IoRequest{sim::IoOp::kWrite, 0, 4 * KiB},
+                [&done](const sim::IoCompletion&) { done = true; });
+    sim.run_to_completion();
+    if (!done || !dev->ftl().is_mapped(0)) state.SkipWithError("first write not on NAND");
+    benchmark::DoNotOptimize(dev->ftl().stats().nand_programs);
+    ++drives;
+  }
+  const std::uint64_t a1 = g_alloc_count.load(std::memory_order_relaxed);
+  state.SetItemsProcessed(drives);
+  state.counters["allocs_per_drive"] =
+      static_cast<double>(a1 - a0) / static_cast<double>(drives);
+}
+BENCHMARK(BM_SsdFirstIo)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pas

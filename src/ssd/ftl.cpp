@@ -1,6 +1,7 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -46,21 +47,31 @@ Ftl::Ftl(const SsdConfig& config, IssueNand issue, Defer defer, Rng rng)
   PAS_CHECK_MSG(total_punits >= total_lpns_ + kHostReserveBlocks * units_per_block_,
                 "overprovisioning too small");
 
-  // The tables themselves (tens of MB per device: map, rmap, block bitmaps)
-  // are NOT built here — see ensure_tables(). A monitored fleet constructs
-  // hundreds of drives that may never see one IO; faulting in gigabytes of
-  // kUnmapped entries up front would dominate such runs.
+  // The tables themselves (map, rmap and valid bits: ~36 MB for a 16 GiB
+  // drive) are NOT built here; see ensure_tables(). A monitored fleet
+  // constructs hundreds of drives that may never see one IO.
+  words_per_block_ = (units_per_block_ + 63) / 64;
   total_free_blocks_ = total_blocks;
+}
+
+template <class T>
+Ftl::Table<T> Ftl::zeroed_table(std::uint64_t n) {
+  T* p = static_cast<T*>(std::calloc(n, sizeof(T)));
+  PAS_CHECK_MSG(p != nullptr, "out of memory for FTL tables");
+  return Table<T>(p);
 }
 
 void Ftl::ensure_tables() {
   if (tables_ready_) return;
   tables_ready_ = true;
   const std::uint64_t total_blocks = static_cast<std::uint64_t>(dies_) * blocks_per_die_;
-  map_.assign(total_lpns_, kUnmapped);
-  rmap_.assign(total_blocks * units_per_block_, kUnmapped);
+  // All-zero is the empty state: every lpn unmapped (see ppn_of), every valid
+  // bit clear, and rmap_ is read only under a set bit. Only the pages the
+  // simulation writes become resident.
+  map_ = zeroed_table<std::uint32_t>(total_lpns_);
+  rmap_ = zeroed_table<std::uint32_t>(total_blocks * units_per_block_);
+  valid_bits_ = zeroed_table<std::uint64_t>(total_blocks * words_per_block_);
   blocks_.resize(total_blocks);
-  for (auto& b : blocks_) b.bitmap.assign((units_per_block_ + 63) / 64, 0);
   free_lists_.resize(static_cast<std::size_t>(dies_));
   for (int d = 0; d < dies_; ++d) {
     for (std::uint32_t i = 0; i < blocks_per_die_; ++i) {
@@ -111,7 +122,7 @@ void Ftl::gc_refresh(std::uint32_t blk_idx) {
 
 bool Ftl::is_mapped(std::uint64_t lpn) const {
   PAS_CHECK(lpn < total_lpns_);
-  return tables_ready_ && map_[lpn] != kUnmapped;
+  return tables_ready_ && ppn_of(lpn) != kUnmapped;
 }
 
 void Ftl::set_valid(std::uint32_t ppn, std::uint64_t lpn) {
@@ -119,7 +130,7 @@ void Ftl::set_valid(std::uint32_t ppn, std::uint64_t lpn) {
   auto& blk = blocks_[blk_idx];
   const std::uint32_t unit = ppn % units_per_block_;
   PAS_DCHECK(!test_valid(blk_idx, unit));
-  blk.bitmap[unit / 64] |= (1ULL << (unit % 64));
+  valid_bits_[valid_word(blk_idx, unit)] |= (1ULL << (unit % 64));
   if (gc_prev_[blk_idx] != kUnmapped) {
     // Indexed candidate changing buckets (valid can rise on a sealed block:
     // the stripe that sealed it is mapped after the seal).
@@ -137,7 +148,7 @@ void Ftl::clear_valid(std::uint32_t ppn) {
   auto& blk = blocks_[blk_idx];
   const std::uint32_t unit = ppn % units_per_block_;
   PAS_DCHECK(test_valid(blk_idx, unit));
-  blk.bitmap[unit / 64] &= ~(1ULL << (unit % 64));
+  valid_bits_[valid_word(blk_idx, unit)] &= ~(1ULL << (unit % 64));
   PAS_CHECK(blk.valid > 0);
   if (gc_prev_[blk_idx] != kUnmapped) {
     gc_index_remove(blk_idx);
@@ -150,8 +161,7 @@ void Ftl::clear_valid(std::uint32_t ppn) {
 }
 
 bool Ftl::test_valid(std::uint32_t blk_idx, std::uint32_t unit) const {
-  const auto& blk = blocks_[blk_idx];
-  return (blk.bitmap[unit / 64] >> (unit % 64)) & 1ULL;
+  return (valid_bits_[valid_word(blk_idx, unit)] >> (unit % 64)) & 1ULL;
 }
 
 bool Ftl::open_block_on_die(int die, WriteStream& stream, bool for_gc) {
@@ -226,10 +236,10 @@ bool Ftl::try_write_runs(const Run* runs, std::size_t nruns, std::uint32_t units
     for (std::uint32_t k = 0; k < runs[r].len; ++k, ++i) {
       const std::uint64_t lpn = runs[r].first + k;
       PAS_CHECK(lpn < total_lpns_);
-      const std::uint32_t old = map_[lpn];
+      const std::uint32_t old = ppn_of(lpn);
       if (old != kUnmapped) clear_valid(old);
       const auto ppn = ppn_start + i;
-      map_[lpn] = ppn;
+      set_ppn(lpn, ppn);
       set_valid(ppn, lpn);
     }
   }
@@ -297,7 +307,7 @@ void Ftl::add_page_unit(std::uint64_t key, int die) {
 // read from a pseudo location (preconditioned-drive behaviour).
 void Ftl::add_read_unit(std::uint64_t lpn) {
   PAS_CHECK(lpn < total_lpns_);
-  const std::uint32_t ppn = map_[lpn];
+  const std::uint32_t ppn = ppn_of(lpn);
   if (ppn != kUnmapped) {
     add_page_unit(page_of(ppn), die_of_block(block_of(ppn)));
   } else if (config_.unmapped_read_hits_media) {
@@ -526,7 +536,7 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
     while (i < pairs.size() && chunk.size() < units_per_stripe_) {
       const auto& [lpn, old_ppn] = pairs[i];
       ++i;
-      if (map_[lpn] == old_ppn) chunk.push_back({lpn, old_ppn});
+      if (ppn_of(lpn) == old_ppn) chunk.push_back({lpn, old_ppn});
     }
     if (chunk.empty()) continue;
     const std::uint32_t ppn_start = allocate_stripe(gc_stream_, /*for_gc=*/true);
@@ -549,7 +559,7 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
       const auto [lpn, old_ppn] = chunk[k];
       clear_valid(old_ppn);
       const auto ppn = ppn_start + static_cast<std::uint32_t>(k);
-      map_[lpn] = ppn;
+      set_ppn(lpn, ppn);
       set_valid(ppn, lpn);
     }
     stats_.gc_units_moved += chunk.size();
@@ -589,9 +599,10 @@ void Ftl::precondition_sequential() {
     const std::uint64_t n = std::min<std::uint64_t>(units_per_stripe_, total_lpns_ - lpn);
     for (std::uint64_t k = 0; k < n; ++k) {
       const std::uint64_t l = lpn + k;
-      if (map_[l] != kUnmapped) clear_valid(map_[l]);
+      const std::uint32_t old = ppn_of(l);
+      if (old != kUnmapped) clear_valid(old);
       const auto ppn = ppn_start + static_cast<std::uint32_t>(k);
-      map_[l] = ppn;
+      set_ppn(l, ppn);
       set_valid(ppn, l);
     }
   }

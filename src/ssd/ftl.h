@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -91,7 +92,20 @@ class Ftl {
   std::uint32_t victim_scan_linear() const;
 
  private:
+  // "No ppn" / "no block" sentinel. The map stores ppn + 1 with 0 for an
+  // unmapped lpn, so ppn_of() decodes an unmapped entry to exactly this.
   static constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
+
+  // Zero-initialised table from std::calloc. glibc serves large requests
+  // from fresh anonymous mappings without clearing them, so a page costs
+  // nothing until first written, and a freed table goes back to the OS.
+  struct FreeDeleter {
+    void operator()(void* p) const noexcept { std::free(p); }
+  };
+  template <class T>
+  using Table = std::unique_ptr<T[], FreeDeleter>;
+  template <class T>
+  static Table<T> zeroed_table(std::uint64_t n);
 
   struct Block {
     enum class State : std::uint8_t { kFree, kOpen, kSealed } state = State::kFree;
@@ -99,7 +113,6 @@ class Ftl {
     bool moving = false;       // a GC move of this block is in flight
     std::uint32_t valid = 0;
     std::uint32_t next_unit = 0;  // allocation cursor while open
-    std::vector<std::uint64_t> bitmap;
   };
 
   // A write stream (host or GC) keeps one open block per die and stripes
@@ -110,11 +123,15 @@ class Ftl {
     int rr = 0;
   };
 
-  // Builds the mapping tables on the first IO (write, read or precondition).
-  // The constructor only does geometry arithmetic: a fleet bench constructs
-  // hundreds of drives whose tables would otherwise dominate setup, and a
-  // drive that is merely monitored never needs them at all.
+  // Builds the tables on the first IO (write, read or precondition). The
+  // constructor only does geometry arithmetic, so a drive that is merely
+  // monitored never needs them. The build costs O(blocks): the per-unit
+  // tables are zero-encoded and page in as the simulation first touches them.
   void ensure_tables();
+
+  // The map's only decoder and encoder: unmapped (0) decodes to kUnmapped.
+  std::uint32_t ppn_of(std::uint64_t lpn) const { return map_[lpn] - 1u; }
+  void set_ppn(std::uint64_t lpn, std::uint32_t ppn) { map_[lpn] = ppn + 1u; }
 
   std::uint32_t block_of(std::uint32_t ppn) const { return ppn / units_per_block_; }
   int die_of_block(std::uint32_t blk) const {
@@ -125,6 +142,10 @@ class Ftl {
   void set_valid(std::uint32_t ppn, std::uint64_t lpn);
   void clear_valid(std::uint32_t ppn);
   bool test_valid(std::uint32_t blk, std::uint32_t unit) const;
+  // Index into valid_bits_ of the word holding `unit` of block `blk`.
+  std::uint64_t valid_word(std::uint32_t blk, std::uint32_t unit) const {
+    return static_cast<std::uint64_t>(blk) * words_per_block_ + unit / 64;
+  }
 
   // Allocates a stripe on the next die in round-robin order; returns the
   // first ppn, or kUnmapped when no block is available (caller must wait).
@@ -190,11 +211,13 @@ class Ftl {
   std::uint32_t units_per_stripe_ = 0;
   std::uint32_t units_per_block_ = 0;
   std::uint32_t blocks_per_die_ = 0;
+  std::uint32_t words_per_block_ = 0;  // valid-bit words per block
   int dies_ = 0;
 
   bool tables_ready_ = false;
-  std::vector<std::uint32_t> map_;   // lpn -> ppn
-  std::vector<std::uint32_t> rmap_;  // ppn -> lpn (valid only when bit set)
+  Table<std::uint32_t> map_;         // lpn -> ppn + 1; 0 = unmapped (see ppn_of)
+  Table<std::uint32_t> rmap_;        // ppn -> lpn; read only under a set valid bit
+  Table<std::uint64_t> valid_bits_;  // words_per_block_ words per block
   std::vector<Block> blocks_;        // global block index = die*blocks_per_die+i
   std::vector<std::deque<std::uint32_t>> free_lists_;  // per die, block indices
   std::size_t total_free_blocks_ = 0;

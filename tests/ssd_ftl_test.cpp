@@ -34,11 +34,13 @@ struct FtlHarness {
   int reads = 0;
   int programs = 0;
   int erases = 0;
+  int last_die = -1;  // die of the most recently issued op
   Ftl ftl;
 
   explicit FtlHarness(SsdConfig config = small_config())
       : ftl(config,
             [this](nand::NandOp op) {
+              last_die = op.die;
               switch (op.kind) {
                 case nand::OpKind::kRead: ++reads; break;
                 case nand::OpKind::kProgram: ++programs; break;
@@ -148,6 +150,34 @@ TEST(Ftl, UnmappedReadSkipsMediaWhenDisabled) {
   EXPECT_EQ(h.reads, 0);
 }
 
+// The first host write on a fresh drive lands on ppn 0 (block 0 of die 0),
+// the one ppn the map's ppn + 1 encoding must keep apart from "unmapped".
+// With pseudo-media reads off, an unmapped read issues no NAND op at all, so
+// one read on die 0 proves the lpn decoded to its real location.
+void expect_first_write_round_trips(bool last_unit) {
+  auto cfg = small_config();
+  cfg.unmapped_read_hits_media = false;
+  FtlHarness h(cfg);
+  const std::uint64_t lpn = last_unit ? h.ftl.total_units() - 1 : 0;
+  EXPECT_FALSE(h.ftl.is_mapped(lpn));
+  const ssd::Run run{lpn, 1};
+  h.ftl.write_runs(&run, 1, 1, [] {});
+  h.sim.run_to_completion();
+  EXPECT_EQ(h.programs, 1);
+  EXPECT_EQ(h.last_die, 0);
+  EXPECT_TRUE(h.ftl.is_mapped(lpn));
+  bool done = false;
+  h.ftl.read_runs(&run, 1, [&] { done = true; });
+  h.sim.run_to_completion();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(h.reads, 1);
+  EXPECT_EQ(h.last_die, 0);
+}
+
+TEST(Ftl, FirstWriteOnPpnZeroReadsAsMapped) { expect_first_write_round_trips(false); }
+
+TEST(Ftl, LastUnitRoundTrips) { expect_first_write_round_trips(true); }
+
 TEST(Ftl, OverwriteInvalidatesOldMapping) {
   FtlHarness h;
   h.write_stripes(0, 1);
@@ -197,6 +227,8 @@ TEST(Ftl, RandomOverwriteWorkloadKeepsMapConsistent) {
   }
   h.sim.run_to_completion();
   EXPECT_TRUE(h.ftl.quiescent());
+  // GC moved data, and every moved lpn still reads as mapped.
+  EXPECT_GT(h.ftl.stats().gc_units_moved, 0u);
   for (std::uint64_t l = 0; l < total; ++l) {
     EXPECT_EQ(h.ftl.is_mapped(l), written[l]) << "lpn " << l;
   }
