@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the SSD IO datapath: closed-loop
 // write / read / mixed traffic at queue depths 1 / 8 / 32 and chunk sizes
 // 4 KiB / 256 KiB, plus a heap-allocation-per-IO counter (the datapath's
-// contract is zero steady-state allocations on the write path), and the
-// cost of a fresh drive's first IO, which builds its FTL tables.
+// contract is zero steady-state allocations on the write path); overwrites
+// of a small hot range, which buffer each unit several times at once; and
+// the cost of a fresh drive's first IO, which builds its FTL tables.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -41,14 +42,19 @@ void* operator new(std::size_t size, std::align_val_t al) {
 void* operator new[](std::size_t size, std::align_val_t al) {
   return ::operator new(size, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+// Every replacement delete frees through this out-of-line helper. Inlined
+// into a new-expression's cleanup path, a bare std::free would draw g++ 12's
+// -Wmismatched-new-delete: it cannot see that this operator new is malloc.
+[[gnu::noinline]] static void release(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 
 namespace pas {
 namespace {
@@ -73,7 +79,7 @@ ssd::SsdConfig bench_config() {
 struct Loop {
   sim::Simulator* sim = nullptr;
   ssd::SsdDevice* dev = nullptr;
-  std::uint64_t capacity = 0;
+  std::uint64_t span = 0;  // the address stream cycles over [0, span)
   std::uint32_t chunk = 0;
   Mode mode = Mode::kWrite;
   int remaining = 0;
@@ -86,7 +92,7 @@ struct Loop {
     ++op_idx;
     const std::uint64_t off = next_off;
     next_off += chunk;
-    if (next_off + chunk > capacity) next_off = 0;
+    if (next_off + chunk > span) next_off = 0;
     dev->submit(
         sim::IoRequest{read ? sim::IoOp::kRead : sim::IoOp::kWrite, off, chunk},
         [this](const sim::IoCompletion&) {
@@ -104,12 +110,13 @@ class Harness {
     dev_->precondition();  // reads hit media; writes overwrite mapped data
   }
 
-  // Runs `ops` IOs closed-loop and drains all induced work (destage, GC).
-  void run(int qd, std::uint32_t chunk, Mode mode, int ops) {
+  // Runs `ops` IOs closed-loop over the first `span` bytes (0: the whole
+  // drive) and drains all induced work (destage, GC).
+  void run(int qd, std::uint32_t chunk, Mode mode, int ops, std::uint64_t span) {
     Loop loop;
     loop.sim = &sim_;
     loop.dev = dev_.get();
-    loop.capacity = capacity_;
+    loop.span = span != 0 ? span : capacity_;
     loop.chunk = chunk;
     loop.mode = mode;
     loop.remaining = ops;
@@ -129,16 +136,16 @@ class Harness {
   std::uint64_t op_idx_ = 0;
 };
 
-void run_case(benchmark::State& state, Mode mode) {
+void run_case(benchmark::State& state, Mode mode, std::uint64_t span = 0) {
   const int qd = static_cast<int>(state.range(0));
   const std::uint32_t chunk = static_cast<std::uint32_t>(state.range(1)) * KiB;
   const int batch = chunk <= 4 * KiB ? 4096 : 512;
   Harness harness;
-  harness.run(qd, chunk, mode, batch);  // warm pools, buffers, FTL tables
+  harness.run(qd, chunk, mode, batch, span);  // warm pools, buffers, FTL tables
   const std::uint64_t a0 = g_alloc_count.load(std::memory_order_relaxed);
   std::int64_t total_ops = 0;
   for (auto _ : state) {
-    harness.run(qd, chunk, mode, batch);
+    harness.run(qd, chunk, mode, batch, span);
     total_ops += batch;
   }
   const std::uint64_t a1 = g_alloc_count.load(std::memory_order_relaxed);
@@ -157,6 +164,13 @@ void BM_SsdRead(benchmark::State& state) { run_case(state, Mode::kRead); }
 BENCHMARK(BM_SsdRead) PAS_SSD_BENCH_ARGS;
 void BM_SsdMixed(benchmark::State& state) { run_case(state, Mode::kMixed); }
 BENCHMARK(BM_SsdMixed) PAS_SSD_BENCH_ARGS;
+
+// 4 KiB writes cycling over a 64 KiB hot range at qd32: the write buffer
+// holds several copies of every hot unit at once, so each write and destage
+// updates the buffer index's per-unit counts, not just its bitmap. Their
+// store is reused across IOs, so allocs_per_io stays ~0 here too.
+void BM_SsdOverwrite(benchmark::State& state) { run_case(state, Mode::kWrite, 64 * KiB); }
+BENCHMARK(BM_SsdOverwrite)->Args({32, 4});
 
 // One iteration = one drive: build an SSD2 (16 GiB) device, complete its
 // first 4 KiB write, run until the write buffer has destaged it to NAND

@@ -16,7 +16,8 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdConfig config, std::uint64_t seed)
       governor_(sim, [this] { return meter_.power() - nand_.instantaneous_power(); }),
       meter_(sim.now(), 0.0),
       cores_(config_.cmd_cores),
-      link_() {
+      link_(),
+      buffered_(config_.capacity_bytes / config_.sector_bytes) {
   PAS_CHECK(config_.capacity_bytes % config_.sector_bytes == 0);
   ftl_ = std::make_unique<Ftl>(
       config_, [this](nand::NandOp op) { issue_nand(std::move(op)); },

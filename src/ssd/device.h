@@ -181,7 +181,7 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   std::uint64_t buffer_used_ = 0;
   sim::RingQueue<std::pair<std::uint64_t, sim::UniqueCallback>> buffer_waiters_;
   RunFifo destage_runs_;     // buffered units as coalesced runs, arrival order
-  BufferedRanges buffered_;  // interval view of buffered units
+  BufferedRanges buffered_;  // per-unit occupancy of the buffered units
   int inflight_programs_ = 0;
   TimeNs last_enqueue_ = 0;
   bool destage_timer_armed_ = false;

@@ -1,7 +1,6 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -54,13 +53,6 @@ Ftl::Ftl(const SsdConfig& config, IssueNand issue, Defer defer, Rng rng)
   total_free_blocks_ = total_blocks;
 }
 
-template <class T>
-Ftl::Table<T> Ftl::zeroed_table(std::uint64_t n) {
-  T* p = static_cast<T*>(std::calloc(n, sizeof(T)));
-  PAS_CHECK_MSG(p != nullptr, "out of memory for FTL tables");
-  return Table<T>(p);
-}
-
 void Ftl::ensure_tables() {
   if (tables_ready_) return;
   tables_ready_ = true;
@@ -68,9 +60,9 @@ void Ftl::ensure_tables() {
   // All-zero is the empty state: every lpn unmapped (see ppn_of), every valid
   // bit clear, and rmap_ is read only under a set bit. Only the pages the
   // simulation writes become resident.
-  map_ = zeroed_table<std::uint32_t>(total_lpns_);
-  rmap_ = zeroed_table<std::uint32_t>(total_blocks * units_per_block_);
-  valid_bits_ = zeroed_table<std::uint64_t>(total_blocks * words_per_block_);
+  map_ = make_zeroed_table<std::uint32_t>(total_lpns_);
+  rmap_ = make_zeroed_table<std::uint32_t>(total_blocks * units_per_block_);
+  valid_bits_ = make_zeroed_table<std::uint64_t>(total_blocks * words_per_block_);
   blocks_.resize(total_blocks);
   free_lists_.resize(static_cast<std::size_t>(dies_));
   for (int d = 0; d < dies_; ++d) {
@@ -125,21 +117,25 @@ bool Ftl::is_mapped(std::uint64_t lpn) const {
   return tables_ready_ && ppn_of(lpn) != kUnmapped;
 }
 
+void Ftl::add_valid(std::uint32_t blk_idx, std::uint32_t n) {
+  auto& blk = blocks_[blk_idx];
+  PAS_DCHECK(blk.valid + n <= units_per_block_);
+  if (gc_prev_[blk_idx] != kUnmapped) {
+    // Indexed candidate changing buckets (valid can rise on a sealed block:
+    // the stripe that sealed it is counted after the seal).
+    gc_index_remove(blk_idx);
+    blk.valid += n;
+    gc_index_insert(blk_idx);
+  } else {
+    blk.valid += n;
+  }
+}
+
 void Ftl::set_valid(std::uint32_t ppn, std::uint64_t lpn) {
   const std::uint32_t blk_idx = block_of(ppn);
-  auto& blk = blocks_[blk_idx];
   const std::uint32_t unit = ppn % units_per_block_;
   PAS_DCHECK(!test_valid(blk_idx, unit));
   valid_bits_[valid_word(blk_idx, unit)] |= (1ULL << (unit % 64));
-  if (gc_prev_[blk_idx] != kUnmapped) {
-    // Indexed candidate changing buckets (valid can rise on a sealed block:
-    // the stripe that sealed it is mapped after the seal).
-    gc_index_remove(blk_idx);
-    ++blk.valid;
-    gc_index_insert(blk_idx);
-  } else {
-    ++blk.valid;
-  }
   rmap_[ppn] = static_cast<std::uint32_t>(lpn);
 }
 
@@ -194,9 +190,10 @@ std::uint32_t Ftl::allocate_stripe(WriteStream& stream, bool for_gc) {
     const std::uint32_t ppn = blk_idx * units_per_block_ + blk.next_unit;
     blk.next_unit += units_per_stripe_;
     if (blk.next_unit >= units_per_block_) {
+      // No dead-block check here: the caller counts the sealing stripe in
+      // after this returns (add_valid), so a zero count does not mean dead.
       blk.state = Block::State::kSealed;
       gc_refresh(blk_idx);  // becomes a victim candidate
-      note_possibly_dead(blk_idx);
     }
     stream.rr = (die + 1) % dies_;
     return ppn;
@@ -230,6 +227,7 @@ bool Ftl::try_write_runs(const Run* runs, std::size_t nruns, std::uint32_t units
   gc_pump();
   const std::uint32_t ppn_start = allocate_stripe(host_stream_, /*for_gc=*/false);
   if (ppn_start == kUnmapped) return false;
+  add_valid(block_of(ppn_start), units);
 
   std::uint32_t i = 0;
   for (std::size_t r = 0; r < nruns; ++r) {
@@ -555,6 +553,7 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
       });
       return;
     }
+    add_valid(block_of(ppn_start), static_cast<std::uint32_t>(chunk.size()));
     for (std::size_t k = 0; k < chunk.size(); ++k) {
       const auto [lpn, old_ppn] = chunk[k];
       clear_valid(old_ppn);
@@ -597,6 +596,7 @@ void Ftl::precondition_sequential() {
     const std::uint32_t ppn_start = allocate_stripe(host_stream_, /*for_gc=*/false);
     PAS_CHECK(ppn_start != kUnmapped);
     const std::uint64_t n = std::min<std::uint64_t>(units_per_stripe_, total_lpns_ - lpn);
+    add_valid(block_of(ppn_start), static_cast<std::uint32_t>(n));
     for (std::uint64_t k = 0; k < n; ++k) {
       const std::uint64_t l = lpn + k;
       const std::uint32_t old = ppn_of(l);

@@ -12,13 +12,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/zeroed_table.h"
 #include "nand/array.h"
 #include "sim/callback.h"
 #include "sim/ring_queue.h"
@@ -96,17 +96,6 @@ class Ftl {
   // unmapped lpn, so ppn_of() decodes an unmapped entry to exactly this.
   static constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
 
-  // Zero-initialised table from std::calloc. glibc serves large requests
-  // from fresh anonymous mappings without clearing them, so a page costs
-  // nothing until first written, and a freed table goes back to the OS.
-  struct FreeDeleter {
-    void operator()(void* p) const noexcept { std::free(p); }
-  };
-  template <class T>
-  using Table = std::unique_ptr<T[], FreeDeleter>;
-  template <class T>
-  static Table<T> zeroed_table(std::uint64_t n);
-
   struct Block {
     enum class State : std::uint8_t { kFree, kOpen, kSealed } state = State::kFree;
     bool queued_dead = false;  // already on the dead list / being erased
@@ -139,6 +128,11 @@ class Ftl {
   }
   std::uint32_t page_of(std::uint32_t ppn) const { return ppn / units_per_page_; }
 
+  // A stripe is counted into its block once, before its units are mapped
+  // (add_valid), so the block's count never reaches zero mid-stripe, even
+  // when the stripe overwrites its own earlier copy of an lpn; set_valid
+  // then only marks each unit.
+  void add_valid(std::uint32_t blk_idx, std::uint32_t n);
   void set_valid(std::uint32_t ppn, std::uint64_t lpn);
   void clear_valid(std::uint32_t ppn);
   bool test_valid(std::uint32_t blk, std::uint32_t unit) const;
@@ -215,9 +209,9 @@ class Ftl {
   int dies_ = 0;
 
   bool tables_ready_ = false;
-  Table<std::uint32_t> map_;         // lpn -> ppn + 1; 0 = unmapped (see ppn_of)
-  Table<std::uint32_t> rmap_;        // ppn -> lpn; read only under a set valid bit
-  Table<std::uint64_t> valid_bits_;  // words_per_block_ words per block
+  ZeroedTable<std::uint32_t> map_;         // lpn -> ppn + 1; 0 = unmapped (see ppn_of)
+  ZeroedTable<std::uint32_t> rmap_;        // ppn -> lpn; read only under a set valid bit
+  ZeroedTable<std::uint64_t> valid_bits_;  // words_per_block_ words per block
   std::vector<Block> blocks_;        // global block index = die*blocks_per_die+i
   std::vector<std::deque<std::uint32_t>> free_lists_;  // per die, block indices
   std::size_t total_free_blocks_ = 0;

@@ -1,16 +1,18 @@
 // Run-length structures for the SSD write-buffer bookkeeping.
 //
-// Buffered data is tracked as runs of logical mapping units, not unit by
-// unit: a host write is one RunFifo append and one BufferedRanges interval
-// op regardless of its size, and a destage hands the FTL a handful of runs.
+// Buffered data is queued as runs of logical mapping units, not unit by
+// unit: a host write is one RunFifo append and one BufferedRanges update of a
+// few bitmap words, and a destage hands the FTL a handful of runs.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/check.h"
+#include "common/zeroed_table.h"
 #include "sim/ring_queue.h"
 
 namespace pas::ssd {
@@ -69,69 +71,53 @@ class RunFifo {
   std::uint64_t units_ = 0;
 };
 
-// Interval map: logical unit -> write-buffer occupancy count, stored as
-// maximal spans of equal count (a unit can be buffered more than once when
-// overlapping writes are in flight). One ordered-map operation per run
-// replaces one hash operation per unit. Nodes freed by merges and removals
-// are stashed and re-inserted with their keys rewritten (C++17 node
-// handles), so steady-state traffic performs no allocation.
+// Write-buffer occupancy per logical unit: how many buffered copies of each
+// unit await destage (overlapping writes in flight buffer a unit more than
+// once). Two bitmaps over the drive's logical units carry the common case:
+// a unit's bit in `once_` is set while its count is at least one, in
+// `multi_` while it is at least two. The excess (count - 1) of the units in
+// `multi_` lives in a flat table keyed by bitmap word, one slot of 64
+// counters per word. add and remove are mask operations per 64-unit word;
+// for_each_unbuffered scans words with ctz.
+//
+// The bitmaps are zero pages mapped on the first add, so a drive that is
+// never written costs no memory (a campaign builds dozens of probe drives)
+// and a written one only the pages under its written LBA ranges. The count
+// table grows to its peak once and is reused: steady-state traffic
+// allocates nothing.
 class BufferedRanges {
  public:
-  bool empty() const { return spans_.empty(); }
+  explicit BufferedRanges(std::uint64_t total_units) : total_units_(total_units) {}
+
+  bool empty() const { return buffered_ == 0; }
 
   // Raises the occupancy count of [first, first + n) by one.
   void add(std::uint64_t first, std::uint64_t n) {
-    PAS_CHECK(n > 0);
-    const std::uint64_t end = first + n;
-    auto it = spans_.lower_bound(first);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > first) it = split_at(prev, first);
+    PAS_CHECK(n > 0 && first + n <= total_units_);
+    if (!once_) {
+      once_ = make_zeroed_table<std::uint64_t>(words());
+      multi_ = make_zeroed_table<std::uint64_t>(words());
     }
-    std::uint64_t pos = first;
-    while (pos < end) {
-      if (it == spans_.end() || it->first >= end) {
-        emplace_span(it, pos, end, 1);  // trailing gap
-        break;
-      }
-      if (it->first > pos) {
-        emplace_span(it, pos, it->first, 1);  // gap up to the next span
-        pos = it->first;
-        continue;
-      }
-      // it->first == pos: overlap (pre-split guarantees alignment).
-      if (it->second.end > end) split_at(it, end);
-      ++it->second.count;
-      pos = it->second.end;
-      ++it;
-    }
-    merge_range(first, end);
+    buffered_ += n;
+    for_each_word(first, n, [this](std::uint64_t w, std::uint64_t mask) {
+      const std::uint64_t again = once_[w] & mask;  // already buffered
+      once_[w] |= mask;
+      if (again != 0) raise_excess(w, again);
+    });
   }
 
-  // Lowers the occupancy count of [first, first + n) by one; spans reaching
-  // zero disappear. The range must currently be fully buffered.
+  // Lowers the occupancy count of [first, first + n) by one. The range must
+  // currently be fully buffered.
   void remove(std::uint64_t first, std::uint64_t n) {
-    PAS_CHECK(n > 0);
-    const std::uint64_t end = first + n;
-    auto it = spans_.lower_bound(first);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > first) it = split_at(prev, first);
-    }
-    std::uint64_t pos = first;
-    while (pos < end) {
-      PAS_CHECK(it != spans_.end() && it->first == pos);  // must be covered
-      if (it->second.end > end) split_at(it, end);
-      pos = it->second.end;
-      if (--it->second.count == 0) {
-        auto next = std::next(it);
-        spare_.push_back(spans_.extract(it));
-        it = next;
-      } else {
-        ++it;
-      }
-    }
-    merge_range(first, end);
+    PAS_CHECK(n > 0 && first + n <= total_units_);
+    PAS_CHECK(n <= buffered_);
+    buffered_ -= n;
+    for_each_word(first, n, [this](std::uint64_t w, std::uint64_t mask) {
+      PAS_CHECK((mask & ~once_[w]) == 0);  // must be covered
+      const std::uint64_t many = mask & multi_[w];
+      once_[w] &= ~(mask & ~many);  // units buffered exactly once leave
+      if (many != 0) lower_excess(w, many);
+    });
   }
 
   // Invokes emit(first, len) for each maximal sub-run of [first, first + n)
@@ -139,70 +125,145 @@ class BufferedRanges {
   // the unbuffered part of a host read to NAND.
   template <typename Emit>
   void for_each_unbuffered(std::uint64_t first, std::uint64_t n, Emit&& emit) const {
-    std::uint64_t pos = first;
+    PAS_DCHECK(first + n <= total_units_);
     const std::uint64_t end = first + n;
-    auto it = spans_.lower_bound(first);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > pos) pos = std::min(end, prev->second.end);
+    if (!once_) {
+      if (n > 0) emit(first, n);
+      return;
     }
+    std::uint64_t pos = first;
     while (pos < end) {
-      if (it == spans_.end() || it->first >= end) {
-        emit(pos, end - pos);
-        return;
-      }
-      if (it->first > pos) emit(pos, it->first - pos);
-      pos = std::min(end, it->second.end);
-      ++it;
+      pos = next_with(pos, end, false);
+      if (pos == end) return;
+      const std::uint64_t stop = next_with(pos, end, true);
+      emit(pos, stop - pos);
+      pos = stop;
     }
   }
 
  private:
-  struct Span {
-    std::uint64_t end;  // exclusive
-    int count;
+  static constexpr std::uint64_t kNoWord = ~0ULL;
+  using Counters = std::array<std::uint32_t, 64>;  // count - 1 per unit of a word
+  struct Entry {
+    std::uint64_t word = kNoWord;  // bitmap word index; kNoWord = empty
+    std::uint32_t slot = 0;        // index into slots_
   };
-  using Map = std::map<std::uint64_t, Span>;
 
-  // Splits *it at `at`, truncating it to [start, at) and inserting
-  // [at, old_end) with the same count. Returns the new (right) span.
-  Map::iterator split_at(Map::iterator it, std::uint64_t at) {
-    PAS_DCHECK(it->first < at && at < it->second.end);
-    const std::uint64_t old_end = it->second.end;
-    it->second.end = at;
-    return emplace_span(std::next(it), at, old_end, it->second.count);
+  std::uint64_t words() const { return (total_units_ + 63) / 64; }
+
+  // Calls fn(word, mask) for each bitmap word [first, first + n) touches, in
+  // ascending order, with the mask of the range's units in that word.
+  template <typename Fn>
+  static void for_each_word(std::uint64_t first, std::uint64_t n, Fn&& fn) {
+    std::uint64_t w = first / 64;
+    const std::uint64_t last = (first + n - 1) / 64;
+    std::uint64_t mask = ~0ULL << (first % 64);
+    for (; w < last; ++w, mask = ~0ULL) fn(w, mask);
+    const unsigned tail = static_cast<unsigned>((first + n) % 64);
+    if (tail != 0) mask &= ~0ULL >> (64 - tail);
+    fn(w, mask);
   }
 
-  Map::iterator emplace_span(Map::const_iterator hint, std::uint64_t start,
-                             std::uint64_t end, int count) {
-    if (!spare_.empty()) {
-      auto nh = std::move(spare_.back());
-      spare_.pop_back();
-      nh.key() = start;
-      nh.mapped() = Span{end, count};
-      return spans_.insert(hint, std::move(nh));
+  // The first unit in [pos, end) whose once_ bit equals `set`, or end.
+  std::uint64_t next_with(std::uint64_t pos, std::uint64_t end, bool set) const {
+    const std::uint64_t flip = set ? 0 : ~0ULL;
+    std::uint64_t w = pos / 64;
+    std::uint64_t bits = (once_[w] ^ flip) & (~0ULL << (pos % 64));
+    while (bits == 0) {
+      if (++w * 64 >= end) return end;
+      bits = once_[w] ^ flip;
     }
-    return spans_.emplace_hint(hint, start, Span{end, count});
+    return std::min(end, w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits)));
   }
 
-  // Coalesces adjacent equal-count spans in the neighbourhood of [first, end].
-  void merge_range(std::uint64_t first, std::uint64_t end) {
-    auto it = spans_.lower_bound(first);
-    if (it != spans_.begin()) --it;  // predecessor may now abut the first span
-    while (it != spans_.end() && it->first <= end) {
-      auto next = std::next(it);
-      if (next == spans_.end()) break;
-      if (it->second.end == next->first && it->second.count == next->second.count) {
-        it->second.end = next->second.end;
-        spare_.push_back(spans_.extract(next));
-      } else {
-        it = next;
+  // Adds one to the excess of every unit in `bits` (all already buffered).
+  void raise_excess(std::uint64_t w, std::uint64_t bits) {
+    Counters& c = slots_[multi_[w] != 0 ? index_[find(w)].slot : insert(w)];
+    multi_[w] |= bits;
+    for (; bits != 0; bits &= bits - 1) ++c[static_cast<std::size_t>(std::countr_zero(bits))];
+  }
+
+  // Subtracts one from the excess of every unit in `bits` (all in multi_).
+  void lower_excess(std::uint64_t w, std::uint64_t bits) {
+    const std::size_t at = find(w);
+    Counters& c = slots_[index_[at].slot];
+    std::uint64_t single = 0;  // units now buffered exactly once
+    for (; bits != 0; bits &= bits - 1) {
+      const int i = std::countr_zero(bits);
+      if (--c[static_cast<std::size_t>(i)] == 0) single |= 1ULL << i;
+    }
+    multi_[w] &= ~single;
+    if (multi_[w] == 0) erase(at);
+  }
+
+  // Open addressing with linear probing over a power-of-two index_, at most
+  // half full; erase shifts the probe chain back, so there are no
+  // tombstones. A word has an entry exactly while its multi_ word is nonzero.
+  std::size_t home(std::uint64_t w) const {
+    return static_cast<std::size_t>((w * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  std::size_t find(std::uint64_t w) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(w);
+    while (index_[i].word != w) {
+      PAS_CHECK(index_[i].word != kNoWord);  // every caller knows w is present
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+  // Adds an entry for w (absent) with an all-zero slot; returns the slot.
+  std::uint32_t insert(std::uint64_t w) {
+    const std::size_t live = slots_.size() - free_slots_.size();
+    if (2 * (live + 1) > index_.size()) grow();
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    place(Entry{w, slot});
+    return slot;
+  }
+  void place(Entry e) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(e.word);
+    while (index_[i].word != kNoWord) i = (i + 1) & mask;
+    index_[i] = e;
+  }
+  void erase(std::size_t at) {
+    free_slots_.push_back(index_[at].slot);  // its counters are all zero again
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t j = (at + 1) & mask; index_[j].word != kNoWord; j = (j + 1) & mask) {
+      // Move j back into the hole unless its home lies cyclically in (at, j].
+      const std::size_t h = home(index_[j].word);
+      const bool stays = at < j ? (at < h && h <= j) : (at < h || h <= j);
+      if (!stays) {
+        index_[at] = index_[j];
+        at = j;
       }
     }
+    index_[at] = Entry{};
+  }
+  void grow() {
+    std::vector<Entry> old = std::move(index_);
+    const std::size_t cap = old.empty() ? 16 : old.size() * 2;
+    index_.assign(cap, Entry{});
+    shift_ = 64 - std::countr_zero(cap);
+    for (const Entry& e : old) {
+      if (e.word != kNoWord) place(e);
+    }
   }
 
-  Map spans_;
-  std::vector<Map::node_type> spare_;  // recycled nodes: zero-alloc steady state
+  std::uint64_t total_units_;
+  std::uint64_t buffered_ = 0;  // sum of all counts
+  ZeroedTable<std::uint64_t> once_;   // count >= 1, one bit per unit
+  ZeroedTable<std::uint64_t> multi_;  // count >= 2, one bit per unit
+  std::vector<Entry> index_;          // word -> slot; see find()
+  std::vector<Counters> slots_;       // per-word excess counters, reused
+  std::vector<std::uint32_t> free_slots_;  // slots_ not held by an entry
+  int shift_ = 64;                         // 64 - log2(index_.size())
 };
 
 }  // namespace pas::ssd

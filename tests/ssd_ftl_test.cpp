@@ -268,6 +268,68 @@ TEST(Ftl, PreconditionThenOverwriteTriggersGcButStaysLive) {
   EXPECT_GT(h.ftl.stats().write_amplification(), 1.0);
 }
 
+// Leaves die 0's first block open with every unit invalid, one stripe short
+// of sealed. The geometry gives 16 stripes per block, dealt round-robin over
+// 4 dies: die 0 takes stripes 0, 4, ..., 56, which all write lpns 0-7, and
+// stripe 57 (die 1) overwrites them once more. The other stripes write fresh
+// lpns. The next host stripe lands on die 0 and seals the block.
+void write_invalid_open_block(FtlHarness& h) {
+  const std::uint32_t per = h.ftl.units_per_stripe();
+  ASSERT_EQ(per, 8u);
+  std::uint64_t fresh = per;
+  for (int s = 0; s < 60; ++s) {
+    const bool hot = s % 4 == 0 || s == 57;
+    const ssd::Run run{hot ? 0 : fresh, per};
+    if (!hot) fresh += per;
+    h.ftl.write_runs(&run, 1, per, [] {});
+  }
+  h.sim.run_to_completion();
+}
+
+// Random stripe overwrites below `limit`, enough to cycle every block through
+// GC several times.
+void overwrite_below(FtlHarness& h, std::uint64_t limit) {
+  Rng rng(11);
+  const std::uint32_t per = h.ftl.units_per_stripe();
+  for (int i = 0; i < 3000; ++i) {
+    const ssd::Run run{rng.next_below(limit - per), per};
+    h.ftl.write_runs(&run, 1, per, [] {});
+    if (i % 16 == 0) h.sim.run_to_completion();
+  }
+  h.sim.run_to_completion();
+  EXPECT_TRUE(h.ftl.quiescent());
+}
+
+// A block is sealed before the sealing stripe's units are mapped, so a count
+// of zero at the seal does not make it dead: queued for erase there, the
+// block would be erased with the stripe's data still live.
+TEST(Ftl, SealingStripeOnAnInvalidBlockStaysLive) {
+  FtlHarness h;
+  write_invalid_open_block(h);
+  const ssd::Run seal{3000, 8};
+  h.ftl.write_runs(&seal, 1, 8, [] {});
+  EXPECT_EQ(h.last_die, 0);
+  h.sim.run_to_completion();
+  overwrite_below(h, 2900);
+  EXPECT_GT(h.ftl.stats().erases, 0u);
+  for (std::uint64_t l = 3000; l < 3008; ++l) EXPECT_TRUE(h.ftl.is_mapped(l)) << "lpn " << l;
+}
+
+// A stripe that writes one lpn twice invalidates its own first copy. When
+// that copy is the just-sealed block's only valid unit, the block's count
+// must not pass through zero before the second copy is mapped.
+TEST(Ftl, SealingStripeRepeatingAnLpnStaysLive) {
+  FtlHarness h;
+  write_invalid_open_block(h);
+  const ssd::Run seal[] = {{3000, 1}, {3000, 1}};
+  h.ftl.write_runs(seal, 2, 2, [] {});
+  EXPECT_EQ(h.last_die, 0);
+  h.sim.run_to_completion();
+  overwrite_below(h, 2900);
+  EXPECT_GT(h.ftl.stats().erases, 0u);
+  EXPECT_TRUE(h.ftl.is_mapped(3000));
+}
+
 TEST(Ftl, StatsWriteAmplificationIdentity) {
   FtlStats s;
   EXPECT_DOUBLE_EQ(s.write_amplification(), 1.0);
