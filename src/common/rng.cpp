@@ -17,6 +17,28 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// Exact 64x64 -> 128-bit product, split into its high and low words, built
+// from four 32-bit partial products (ISO C++ has no 128-bit integer).
+struct Product128 {
+  std::uint64_t hi;
+  std::uint64_t lo;
+};
+
+Product128 mul_64x64(std::uint64_t a, std::uint64_t b) {
+  constexpr std::uint64_t kLow32 = 0xFFFFFFFFULL;
+  const std::uint64_t a_lo = a & kLow32;
+  const std::uint64_t a_hi = a >> 32;
+  const std::uint64_t b_lo = b & kLow32;
+  const std::uint64_t b_hi = b >> 32;
+  const std::uint64_t ll = a_lo * b_lo;
+  const std::uint64_t lh = a_lo * b_hi;
+  const std::uint64_t hl = a_hi * b_lo;
+  const std::uint64_t hh = a_hi * b_hi;
+  // Three terms below 2^32 each: the sum cannot overflow.
+  const std::uint64_t mid = (ll >> 32) + (lh & kLow32) + (hl & kLow32);
+  return {hh + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b};
+}
+
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -45,18 +67,12 @@ double Rng::next_double() {
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   PAS_CHECK(bound > 0);
   // Lemire's multiply-shift rejection method.
-  std::uint64_t x = next_u64();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
+  Product128 m = mul_64x64(next_u64(), bound);
+  if (m.lo < bound) {
     const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = next_u64();
-      m = static_cast<unsigned __int128>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
+    while (m.lo < threshold) m = mul_64x64(next_u64(), bound);
   }
-  return static_cast<std::uint64_t>(m >> 64);
+  return m.hi;
 }
 
 std::int64_t Rng::next_in_range(std::int64_t lo, std::int64_t hi) {

@@ -155,7 +155,9 @@ class UniqueFunction<R(Args...), InlineBytes> {
     // Move-constructs `dst` from `src` and destroys `src`.
     void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void*) noexcept;
-    std::size_t size;  // bytes occupied in the buffer (for memcpy relocation)
+    // Bytes memcpy relocation copies: 0 for an empty callable, whose one
+    // byte of storage is never written.
+    std::size_t size;
   };
 
   void relocate_from(UniqueFunction& o) noexcept {
@@ -193,7 +195,8 @@ class UniqueFunction<R(Args...), InlineBytes> {
     static constexpr Ops ops{
         &invoke, &invoke_destroy,
         std::is_trivially_copyable_v<Fn> ? nullptr : &relocate,
-        std::is_trivially_destructible_v<Fn> ? nullptr : &destroy, sizeof(Fn)};
+        std::is_trivially_destructible_v<Fn> ? nullptr : &destroy,
+        std::is_empty_v<Fn> ? 0 : sizeof(Fn)};
   };
 
   template <typename Fn>

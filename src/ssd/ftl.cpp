@@ -71,45 +71,6 @@ void Ftl::ensure_tables() {
           static_cast<std::uint32_t>(d) * blocks_per_die_ + i);
     }
   }
-  gc_head_.assign(units_per_block_ + 1, kUnmapped);
-  gc_next_.assign(total_blocks, kUnmapped);
-  gc_prev_.assign(total_blocks, kUnmapped);
-  gc_min_bucket_ = static_cast<std::uint32_t>(gc_head_.size());  // all empty
-}
-
-void Ftl::gc_index_insert(std::uint32_t blk_idx) {
-  const std::uint32_t v = blocks_[blk_idx].valid;
-  const std::uint32_t old_head = gc_head_[v];
-  gc_next_[blk_idx] = old_head;
-  gc_prev_[blk_idx] = kGcHead;
-  if (old_head != kUnmapped) gc_prev_[old_head] = blk_idx;
-  gc_head_[v] = blk_idx;
-  if (v < gc_min_bucket_) gc_min_bucket_ = v;
-}
-
-void Ftl::gc_index_remove(std::uint32_t blk_idx) {
-  const std::uint32_t next = gc_next_[blk_idx];
-  const std::uint32_t prev = gc_prev_[blk_idx];
-  PAS_DCHECK(prev != kUnmapped);
-  if (prev == kGcHead) {
-    gc_head_[blocks_[blk_idx].valid] = next;
-  } else {
-    gc_next_[prev] = next;
-  }
-  if (next != kUnmapped) gc_prev_[next] = prev;
-  gc_prev_[blk_idx] = kUnmapped;
-}
-
-void Ftl::gc_refresh(std::uint32_t blk_idx) {
-  const auto& blk = blocks_[blk_idx];
-  const bool candidate =
-      blk.state == Block::State::kSealed && !blk.queued_dead && !blk.moving;
-  const bool indexed = gc_prev_[blk_idx] != kUnmapped;
-  if (candidate && !indexed) {
-    gc_index_insert(blk_idx);
-  } else if (!candidate && indexed) {
-    gc_index_remove(blk_idx);
-  }
 }
 
 bool Ftl::is_mapped(std::uint64_t lpn) const {
@@ -120,15 +81,7 @@ bool Ftl::is_mapped(std::uint64_t lpn) const {
 void Ftl::add_valid(std::uint32_t blk_idx, std::uint32_t n) {
   auto& blk = blocks_[blk_idx];
   PAS_DCHECK(blk.valid + n <= units_per_block_);
-  if (gc_prev_[blk_idx] != kUnmapped) {
-    // Indexed candidate changing buckets (valid can rise on a sealed block:
-    // the stripe that sealed it is counted after the seal).
-    gc_index_remove(blk_idx);
-    blk.valid += n;
-    gc_index_insert(blk_idx);
-  } else {
-    blk.valid += n;
-  }
+  blk.valid += n;
 }
 
 void Ftl::set_valid(std::uint32_t ppn, std::uint64_t lpn) {
@@ -146,14 +99,7 @@ void Ftl::clear_valid(std::uint32_t ppn) {
   PAS_DCHECK(test_valid(blk_idx, unit));
   valid_bits_[valid_word(blk_idx, unit)] &= ~(1ULL << (unit % 64));
   PAS_CHECK(blk.valid > 0);
-  if (gc_prev_[blk_idx] != kUnmapped) {
-    gc_index_remove(blk_idx);
-    --blk.valid;
-    gc_index_insert(blk_idx);
-  } else {
-    --blk.valid;
-  }
-  if (blk.valid == 0) note_possibly_dead(blk_idx);
+  if (--blk.valid == 0) note_possibly_dead(blk_idx);
 }
 
 bool Ftl::test_valid(std::uint32_t blk_idx, std::uint32_t unit) const {
@@ -193,7 +139,6 @@ std::uint32_t Ftl::allocate_stripe(WriteStream& stream, bool for_gc) {
       // No dead-block check here: the caller counts the sealing stripe in
       // after this returns (add_valid), so a zero count does not mean dead.
       blk.state = Block::State::kSealed;
-      gc_refresh(blk_idx);  // becomes a victim candidate
     }
     stream.rr = (die + 1) % dies_;
     return ppn;
@@ -356,7 +301,6 @@ void Ftl::note_possibly_dead(std::uint32_t blk_idx) {
   auto& blk = blocks_[blk_idx];
   if (blk.state != Block::State::kSealed || blk.valid != 0 || blk.queued_dead) return;
   blk.queued_dead = true;
-  gc_refresh(blk_idx);  // dead blocks leave the victim index
   dead_blocks_.push_back(blk_idx);
   consecutive_defers_ = 0;  // fresh reclaim supply: lazy GC can keep waiting
 }
@@ -427,25 +371,10 @@ void Ftl::issue_erase(std::uint32_t blk_idx) {
   issue_(std::move(op));
 }
 
-std::uint32_t Ftl::victim_pick_indexed() {
-  if (!tables_ready_) return kNoVictim;
-  while (gc_min_bucket_ < gc_head_.size() && gc_head_[gc_min_bucket_] == kUnmapped) {
-    ++gc_min_bucket_;
-  }
-  if (gc_min_bucket_ >= gc_head_.size()) return kNoVictim;  // no candidate
-  // Bucket lists are head-inserted and therefore unordered; scanning the
-  // (small) minimum bucket for the lowest block index reproduces
-  // victim_scan_linear()'s first-lowest-index tie-break exactly.
-  std::uint32_t best = kNoVictim;
-  for (std::uint32_t b = gc_head_[gc_min_bucket_]; b != kUnmapped; b = gc_next_[b]) {
-    best = std::min(best, b);
-  }
-  return best;
-}
-
-std::uint32_t Ftl::victim_scan_linear() const {
-  // The plain O(blocks) scan: the test oracle the bucketed index is checked
-  // against (GcVictimIndexMatchesLinearScan).
+std::uint32_t Ftl::pick_victim() const {
+  // O(blocks), but a drive has at most ~1 k superblocks and GC picks a victim
+  // only a few thousand times per run; every unit invalidation stays a bit
+  // and a count.
   std::uint32_t victim = kNoVictim;
   std::uint32_t best_valid = 0xFFFFFFFFu;
   for (std::uint32_t i = 0; i < blocks_.size(); ++i) {
@@ -459,22 +388,8 @@ std::uint32_t Ftl::victim_scan_linear() const {
   return victim;
 }
 
-std::vector<Ftl::MovePair> Ftl::gc_vec_take() {
-  if (gc_vec_pool_.empty()) return {};
-  auto v = std::move(gc_vec_pool_.back());
-  gc_vec_pool_.pop_back();
-  return v;
-}
-
-void Ftl::gc_vec_put(std::vector<MovePair> v) {
-  v.clear();
-  gc_vec_pool_.push_back(std::move(v));
-}
-
 void Ftl::start_move() {
-  // Greedy victim: sealed block with the fewest valid units, via the
-  // valid-count bucket index (O(min-bucket) instead of O(blocks)).
-  const std::uint32_t victim = victim_pick_indexed();
+  const std::uint32_t victim = pick_victim();
   if (victim == kNoVictim) return;  // nothing sealed: wait for seals
   const std::uint32_t best_valid = blocks_[victim].valid;
   // Moving must gain at least one stripe of net free space, or GC would
@@ -484,13 +399,12 @@ void Ftl::start_move() {
   ++moves_in_flight_;
   auto& blk = blocks_[victim];
   blk.moving = true;
-  gc_refresh(victim);  // mid-move blocks leave the victim index
   PAS_CHECK(blk.valid > 0);  // dead blocks go through the erase pipeline
   // Snapshot the valid units, then read the pages that hold them. The unit
   // scan walks ppns in ascending order, so page coalescing always hits the
   // check-last fast path and the page list comes out insertion-ordered
   // (ascending page), not hash-iteration-ordered.
-  std::vector<MovePair> pairs = gc_vec_take();
+  std::vector<MovePair> pairs;
   pairs.reserve(blk.valid);
   pages_scratch_.clear();
   for (std::uint32_t unit = 0; unit < units_per_block_; ++unit) {
@@ -520,13 +434,13 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
   if (programs_left == nullptr) programs_left = std::make_shared<int>(1);  // batch guard
   auto finish_move = [this, victim_blk] {
     blocks_[victim_blk].moving = false;
-    gc_refresh(victim_blk);  // back in the index if still sealed with survivors
     --moves_in_flight_;
     note_possibly_dead(victim_blk);
     gc_pump();
   };
   std::size_t i = 0;
-  std::vector<MovePair> chunk = gc_vec_take();
+  std::vector<MovePair> chunk;
+  chunk.reserve(units_per_stripe_);
   while (i < pairs.size()) {
     // Assemble one stripe of still-valid units; drop units the host
     // overwrote while the GC read was in flight.
@@ -542,12 +456,10 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
       // Concurrent reclaim transiently exhausted the pool: retry the rest of
       // this batch once in-flight erases release blocks. The batch guard on
       // `programs_left` keeps the move alive across the retry.
-      std::vector<MovePair> rest = gc_vec_take();
+      std::vector<MovePair> rest;
       rest.reserve(chunk.size() + (pairs.size() - i));
       rest.insert(rest.end(), chunk.begin(), chunk.end());
       rest.insert(rest.end(), pairs.begin() + static_cast<std::ptrdiff_t>(i), pairs.end());
-      gc_vec_put(std::move(chunk));
-      gc_vec_put(std::move(pairs));
       defer_(milliseconds(2), [this, rest = std::move(rest), victim_blk, programs_left]() mutable {
         gc_move_batch(std::move(rest), victim_blk, programs_left);
       });
@@ -574,8 +486,6 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
     };
     issue_(std::move(op));
   }
-  gc_vec_put(std::move(chunk));
-  gc_vec_put(std::move(pairs));
   // Release the batch guard; if no programs remain (or none were needed —
   // everything was overwritten while the reads ran), the move is done.
   if (--*programs_left == 0) finish_move();

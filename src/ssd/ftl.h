@@ -82,14 +82,13 @@ class Ftl {
   // True when no deferred work (stalled host writes or an active GC) remains.
   bool quiescent() const { return !gc_active() && stalled_writes_.empty(); }
 
-  // GC victim-selection hooks, exposed so tests can assert the bucketed index
-  // always agrees with a linear scan over the block table. Both return the
-  // lowest-index sealed block with the fewest valid units (kNoVictim when no
-  // candidate exists); neither mutates selection state beyond the index's
-  // min-bucket hint.
+  // The greedy GC victim: the lowest-index sealed block with the fewest valid
+  // units that is neither queued for erase nor mid-move, or kNoVictim when no
+  // block qualifies. A scan of the block table, run only when GC starts a
+  // move; public so tests can check the choice. The tie-break is part of the
+  // simulator's output: a different pick order changes every GC-heavy result.
   static constexpr std::uint32_t kNoVictim = 0xFFFFFFFFu;
-  std::uint32_t victim_pick_indexed();
-  std::uint32_t victim_scan_linear() const;
+  std::uint32_t pick_victim() const;
 
  private:
   // "No ppn" / "no block" sentinel. The map stores ppn + 1 with 0 for an
@@ -176,17 +175,9 @@ class Ftl {
   void note_possibly_dead(std::uint32_t blk_idx);
   void gc_pump();
   void start_move();
-  // Victim index maintenance: a block sits in the victim index exactly
-  // while it is a GC candidate (sealed, not queued dead, not mid-move).
-  void gc_index_insert(std::uint32_t blk_idx);
-  void gc_index_remove(std::uint32_t blk_idx);
-  void gc_refresh(std::uint32_t blk_idx);
   // (lpn, old ppn) snapshots that travel through a move's read/program
-  // pipeline. The vectors recycle through gc_vec_pool_ so reclaim at the
-  // write cliff does not allocate per move (or per stripe).
+  // pipeline.
   using MovePair = std::pair<std::uint64_t, std::uint32_t>;
-  std::vector<MovePair> gc_vec_take();
-  void gc_vec_put(std::vector<MovePair> v);
   // `programs_left` carries a +1 batch guard across allocation retries; pass
   // nullptr on first entry.
   void gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
@@ -225,19 +216,6 @@ class Ftl {
   bool gc_defer_armed_ = false;
   int consecutive_defers_ = 0;
 
-  // GC victim index: per valid-count intrusive doubly-linked list of
-  // candidate blocks, threaded through two fixed arrays (per-bucket vectors
-  // would re-grow as counts wander, a steady trickle of heap traffic). The
-  // pick scans the minimum non-empty bucket's list for the lowest block
-  // index, matching victim_scan_linear()'s tie-break. gc_min_bucket_ is a
-  // monotone hint: no candidate lives below it; inserts lower it, picks
-  // advance it past drained buckets.
-  static constexpr std::uint32_t kGcHead = 0xFFFFFFFEu;  // prev-link front marker
-  std::vector<std::uint32_t> gc_head_;  // valid -> first candidate, or kUnmapped
-  std::vector<std::uint32_t> gc_next_;  // block -> next in bucket, or kUnmapped
-  std::vector<std::uint32_t> gc_prev_;  // block -> prev / kGcHead; kUnmapped = not indexed
-  std::uint32_t gc_min_bucket_ = 0;
-
   // Host writes waiting for free space (write cliff back-pressure). Drained
   // nodes park in stalled_spare_ with their run-vector capacity intact, so a
   // stall storm at the write cliff allocates each node once, not per stall.
@@ -248,7 +226,6 @@ class Ftl {
   };
   sim::RingQueue<StalledWrite> stalled_writes_;
   std::vector<StalledWrite> stalled_spare_;
-  std::vector<std::vector<MovePair>> gc_vec_pool_;
 
   // Reused scratch buffer (capacity persists across IOs: steady-state reads
   // build their page lists without allocating).

@@ -75,6 +75,34 @@ TEST(Rng, NextBelowUniformity) {
   }
 }
 
+// Golden draws: next_below's outputs are part of every seeded result, so any
+// rewrite of its 64x64->128 multiply or rejection step must reproduce them
+// bit for bit. 2^63 + 1 rejects about half its first draws; 2^64 - 1 needs
+// the full-width high word.
+TEST(Rng, NextBelowGoldenValues) {
+  struct Case {
+    std::uint64_t bound;
+    std::vector<std::uint64_t> draws;
+  };
+  const std::vector<Case> cases = {
+      {3ULL, {0ULL, 2ULL, 0ULL, 0ULL, 2ULL, 0ULL}},
+      {1000000007ULL,
+       {55792889ULL, 782103778ULL, 72054940ULL, 159715871ULL, 773650395ULL, 244872126ULL}},
+      {(1ULL << 63) + 1,
+       {664589519293982720ULL, 1473118889992868405ULL, 2258546705306200698ULL,
+        6644008486317064688ULL, 8134989128028724035ULL, 3378749892732358586ULL}},
+      {~0ULL,
+       {1029197146548041517ULL, 14427268137155694692ULL, 1329179038587965440ULL,
+        2946237779985736810ULL, 14271330741670775462ULL, 4517093410612401396ULL}},
+  };
+  for (const auto& c : cases) {
+    Rng r(2024);
+    for (std::size_t i = 0; i < c.draws.size(); ++i) {
+      EXPECT_EQ(r.next_below(c.bound), c.draws[i]) << "bound " << c.bound << " draw " << i;
+    }
+  }
+}
+
 TEST(Rng, NextInRangeInclusive) {
   Rng r(19);
   bool saw_lo = false;

@@ -1,5 +1,5 @@
-// Regression tests for the SSD datapath: pooled IO contexts, the GC
-// victim index, flush/destage ordering, and write-buffer waiter fairness.
+// Regression tests for the SSD datapath: pooled IO contexts, GC victim
+// choice, flush/destage ordering, and write-buffer waiter fairness.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -48,37 +48,59 @@ struct FtlHarness {
             Rng(7)) {}
 };
 
-// The bucketed victim index must agree with the linear scan oracle — same
-// victim, same lowest-block-index tie-break — at every point of a randomized
-// overwrite workload that seals blocks, invalidates units, and runs GC.
-TEST(SsdDatapath, GcVictimIndexMatchesLinearScan) {
+// Greedy victim choice on small_ftl_config(): 128-unit superblocks, 8-unit
+// stripes, 10 blocks per die. precondition_sequential() deals stripe k to die
+// k % 4, filling each die's blocks in order, so die d's j-th block (global
+// index 10 * d + j) holds global stripes 4 * (16 * j + i) + d, i in [0, 16).
+// The state is built only by overwriting chosen stripes and stepping the
+// simulator.
+TEST(SsdDatapath, PickVictimTakesFewestValidThenLowestIndex) {
   FtlHarness h;
-  h.ftl.precondition_sequential();
-  Rng rng(1234);
-  const std::uint64_t total = h.ftl.total_units();
   const std::uint32_t stripe = h.ftl.units_per_stripe();
-  int checked = 0;
-  for (int round = 0; round < 400; ++round) {
-    // Random overwrite of one stripe's worth of units at a random offset.
-    const ssd::Run run{rng.next_below(total - stripe), stripe};
-    h.ftl.write_runs(&run, 1, stripe, [] {});
-    // Step the simulator a few events so writes, GC moves, and erases
-    // interleave (rather than always comparing on a quiesced drive).
-    for (int s = 0; s < 3; ++s) h.sim.step();
-    ASSERT_EQ(h.ftl.victim_pick_indexed(), h.ftl.victim_scan_linear())
-        << "divergence at round " << round;
-    ++checked;
+  ASSERT_EQ(stripe, 8u);
+  auto block = [](std::uint32_t die, std::uint32_t j) { return 10 * die + j; };
+  // Overwrites `units` units of the i-th stripe of block (die, j).
+  auto overwrite = [&](std::uint32_t die, std::uint32_t j, std::uint32_t i,
+                       std::uint32_t units) {
+    const std::uint64_t k = 4 * (16 * j + i) + die;
+    const ssd::Run run{k * stripe, units};
+    h.ftl.write_runs(&run, 1, units, [] {});
+  };
+
+  h.ftl.precondition_sequential();
+  // 32 sealed blocks at 128 valid each: the tie goes to the lowest index.
+  EXPECT_EQ(h.ftl.pick_victim(), 0u);
+
+  // Block (1, 3) and block (2, 2) drop to 104 valid, block (0, 5) to 120.
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    overwrite(1, 3, i, stripe);
+    overwrite(2, 2, i, stripe);
   }
+  overwrite(0, 5, 0, stripe);
+  // The host writes above opened one block per die holding at most 56 valid
+  // units, fewer than any sealed block: open blocks are never candidates.
+  EXPECT_EQ(h.ftl.pick_victim(), block(1, 3));  // 104 = 104: lower index wins
+
+  overwrite(2, 2, 3, 1);
+  EXPECT_EQ(h.ftl.pick_victim(), block(2, 2));  // 103 < 104: fewest wins
+
+  // Empty block (0, 2): zero valid units, but it goes to erase, not GC.
+  for (std::uint32_t i = 0; i < 16; ++i) overwrite(0, 2, i, stripe);
+  EXPECT_EQ(h.ftl.pick_victim(), block(2, 2));
+  for (int s = 0; s < 8; ++s) h.sim.step();
+  EXPECT_EQ(h.ftl.pick_victim(), block(2, 2));
+  // The next write pumps GC, which erases the empty block instead of moving.
+  overwrite(3, 0, 0, stripe);
   h.sim.run_to_completion();
-  EXPECT_EQ(h.ftl.victim_pick_indexed(), h.ftl.victim_scan_linear());
-  EXPECT_GT(checked, 0);
   EXPECT_TRUE(h.ftl.quiescent());
+  EXPECT_EQ(h.ftl.stats().erases, 1u);
+  EXPECT_EQ(h.ftl.stats().gc_runs, 0u);
+  EXPECT_EQ(h.ftl.pick_victim(), block(2, 2));
 }
 
 TEST(SsdDatapath, VictimHooksReturnNoVictimBeforeFirstIo) {
   FtlHarness h;
-  EXPECT_EQ(h.ftl.victim_pick_indexed(), Ftl::kNoVictim);
-  EXPECT_EQ(h.ftl.victim_scan_linear(), Ftl::kNoVictim);
+  EXPECT_EQ(h.ftl.pick_victim(), Ftl::kNoVictim);
 }
 
 // The IoContext pool must grow to the offered queue depth, then recycle:
