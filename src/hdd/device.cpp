@@ -9,12 +9,15 @@
 namespace pas::hdd {
 
 HddDevice::HddDevice(sim::Simulator& sim, HddConfig config, std::uint64_t seed)
-    : sim_(sim), config_(std::move(config)), seed_(seed), meter_(sim.now(), 0.0) {
+    : sim_(sim),
+      config_(std::move(config)),
+      seed_(seed),
+      meter_(sim.now(), 0.0),
+      cache_(config_.cache_bytes) {
   PAS_CHECK(config_.capacity_bytes % config_.sector_bytes == 0);
   PAS_CHECK(config_.zones >= 1);
   PAS_CHECK(config_.outer_mib_s >= config_.inner_mib_s);
   PAS_CHECK(config_.ncq_depth >= 1);
-  link_.set_busy_listener([this](bool) { update_power(); });
   update_power();
 }
 
@@ -119,10 +122,10 @@ void HddDevice::submit(const sim::IoRequest& req, sim::IoCallback done) {
 void HddDevice::handle_write(PendingOp op) {
   on_spinning([this, op = std::move(op)]() mutable {
     // Command + data over the SATA link.
-    link_.acquire([this, op = std::move(op)]() mutable {
+    acquire_link([this, op = std::move(op)]() mutable {
       const TimeNs t = config_.t_cmd_overhead + transfer_link_time(op.req.bytes);
       sim_.schedule_after(t, [this, op = std::move(op)]() mutable {
-        link_.release();
+        release_link();
         if (!config_.write_cache_enabled) {
           media_queue_.push_back(std::move(op));
           dispatch_mech();
@@ -137,15 +140,20 @@ void HddDevice::handle_write(PendingOp op) {
           dispatch_mech();
           return;
         }
-        PAS_CHECK_MSG(op.req.bytes <= config_.cache_bytes,
-                      "single write larger than the drive cache");
-        cache_admit(op.req.bytes, [this, op = std::move(op)]() mutable {
+        const std::uint64_t bytes = op.req.bytes;
+        PAS_CHECK_MSG(bytes <= config_.cache_bytes, "single write larger than the drive cache");
+        auto admitted = [this, op = std::move(op)]() mutable {
           dirty_[op.req.offset] = op.req.bytes;
           dirty_bytes_ += op.req.bytes;
           last_cache_admit_ = sim_.now();
           complete(op);
           dispatch_mech();
-        });
+        };
+        if (cache_.try_acquire(bytes)) {
+          admitted();
+        } else {
+          cache_.wait(bytes, std::move(admitted));
+        }
       });
     });
   });
@@ -153,19 +161,19 @@ void HddDevice::handle_write(PendingOp op) {
 
 void HddDevice::handle_read(PendingOp op) {
   on_spinning([this, op = std::move(op)]() mutable {
-    link_.acquire([this, op = std::move(op)]() mutable {
+    acquire_link([this, op = std::move(op)]() mutable {
       sim_.schedule_after(config_.t_cmd_overhead, [this, op = std::move(op)]() mutable {
-        link_.release();
+        release_link();
         auto it = dirty_.find(op.req.offset);
         const bool cache_hit =
             (it != dirty_.end() && it->second >= op.req.bytes) ||
             (destage_in_flight_ && destage_offset_ == op.req.offset);
         if (cache_hit) {
           ++stats_.cache_read_hits;
-          link_.acquire([this, op = std::move(op)]() mutable {
+          acquire_link([this, op = std::move(op)]() mutable {
             sim_.schedule_after(transfer_link_time(op.req.bytes),
                                 [this, op = std::move(op)]() mutable {
-              link_.release();
+              release_link();
               complete(op);
             });
           });
@@ -201,27 +209,22 @@ TimeNs HddDevice::transfer_link_time(std::uint64_t bytes) const {
       1, seconds(static_cast<double>(bytes) / (config_.link_mib_s * static_cast<double>(MiB))));
 }
 
-// ---------- cache ----------
+// ---------- link and cache ----------
 
-void HddDevice::cache_admit(std::uint64_t bytes, sim::UniqueCallback granted) {
-  if (cache_waiters_.empty() && cache_used_ + bytes <= config_.cache_bytes) {
-    cache_used_ += bytes;
-    granted();
+// The link adds no draw of its own, but its busy edges still rewrite the
+// (unchanged) power: each rewrite is one energy add on the meter, and the
+// parity baselines pin that sequence of adds.
+void HddDevice::acquire_link(sim::UniqueCallback go) {
+  if (!link_.try_acquire()) {
+    link_.wait(1, std::move(go));
     return;
   }
-  cache_waiters_.emplace_back(bytes, std::move(granted));
+  update_power();
+  go();
 }
 
-void HddDevice::cache_release(std::uint64_t bytes) {
-  PAS_CHECK(cache_used_ >= bytes);
-  cache_used_ -= bytes;
-  while (!cache_waiters_.empty() &&
-         cache_used_ + cache_waiters_.front().first <= config_.cache_bytes) {
-    auto [need, granted] = std::move(cache_waiters_.front());
-    cache_waiters_.pop_front();
-    cache_used_ += need;
-    granted();
-  }
+void HddDevice::release_link() {
+  if (link_.release()) update_power();
 }
 
 void HddDevice::check_flush_waiters() {
@@ -318,14 +321,14 @@ void HddDevice::serve_media_op(PendingOp op, bool is_destage) {
       if (is_destage) {
         ++stats_.media_writes;
         destage_in_flight_ = false;
-        cache_release(bytes);
+        cache_.release(bytes);
         check_flush_waiters();
         maybe_spin_down();
       } else if (op.req.op == sim::IoOp::kRead) {
         ++stats_.media_reads;
-        link_.acquire([this, op = std::move(op), bytes]() mutable {
+        acquire_link([this, op = std::move(op), bytes]() mutable {
           sim_.schedule_after(transfer_link_time(bytes), [this, op = std::move(op)]() mutable {
-            link_.release();
+            release_link();
             complete(op);
           });
         });

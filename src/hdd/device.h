@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -117,8 +116,8 @@ class HddDevice : public sim::BlockDevice, public sim::PowerManageable {
   void handle_flush(PendingOp op);
   void complete(PendingOp& op);
 
-  void cache_admit(std::uint64_t bytes, sim::UniqueCallback granted);
-  void cache_release(std::uint64_t bytes);
+  void acquire_link(sim::UniqueCallback go);
+  void release_link();
   void check_flush_waiters();
 
   void maybe_spin_down();
@@ -134,7 +133,7 @@ class HddDevice : public sim::BlockDevice, public sim::PowerManageable {
   std::uint64_t seed_ = 0;  // unused by the deterministic mechanics; see ctor
   HddStats stats_;
   power::EnergyMeter meter_;
-  sim::SerialResource link_;
+  sim::ResourcePool link_{1};
 
   Spindle spindle_ = Spindle::kSpinning;
   bool standby_requested_ = false;
@@ -150,13 +149,12 @@ class HddDevice : public sim::BlockDevice, public sim::PowerManageable {
   // Write cache.
   std::map<std::uint64_t, std::uint32_t> dirty_;  // offset -> bytes
   std::uint64_t dirty_bytes_ = 0;
-  std::uint64_t cache_used_ = 0;
+  sim::ResourcePool cache_;  // bytes admitted and not yet destaged
   std::uint64_t destage_cursor_ = 0;  // C-LOOK elevator position
   bool destage_in_flight_ = false;
   std::uint64_t destage_offset_ = 0;
   TimeNs last_cache_admit_ = 0;
   bool wb_timer_armed_ = false;
-  std::deque<std::pair<std::uint64_t, sim::UniqueCallback>> cache_waiters_;
   std::vector<sim::UniqueCallback> flush_waiters_;
 
   int host_inflight_ = 0;

@@ -12,10 +12,11 @@ NandArray::NandArray(sim::Simulator& sim, const NandConfig& config, std::uint64_
   PAS_CHECK(config_.channels > 0);
   PAS_CHECK(config_.dies_per_channel > 0);
   PAS_CHECK(config_.channel_mib_s > 0.0);
-  // Built whole rather than resize()d: Die/Channel hold deques of move-only
-  // callbacks, and vector::resize would need move_if_noexcept relocation.
+  // Sized once: a die holds a RingQueue of move-only ops and a channel is a
+  // one-unit pool; neither is added or relocated after construction.
   dies_ = std::vector<Die>(static_cast<std::size_t>(config_.total_dies()));
-  channels_ = std::vector<Channel>(static_cast<std::size_t>(config_.channels));
+  channels_.reserve(static_cast<std::size_t>(config_.channels));
+  for (int ch = 0; ch < config_.channels; ++ch) channels_.emplace_back(1);
 }
 
 Watts NandArray::jittered(Watts nominal) {
@@ -74,7 +75,7 @@ void NandArray::run_op(int die_idx) {
     --busy_dies_;
     ++completed_ops_;
     --outstanding_;
-    set_die_draw(die_idx, 0.0, false);
+    set_die_draw(die_idx, 0.0);
     // Complete the op before starting the next so completion-driven
     // submissions interleave fairly.
     done_op.done();
@@ -83,9 +84,9 @@ void NandArray::run_op(int die_idx) {
 
   switch (op.kind) {
     case OpKind::kRead: {
-      set_die_draw(die_idx, jittered(config_.p_die_read_w), true);
+      set_die_draw(die_idx, jittered(config_.p_die_read_w));
       sim_.schedule_after(config_.t_read, [this, die_idx, ch, finish] {
-        set_die_draw(die_idx, 0.0, true);  // sense done; wait for the channel
+        set_die_draw(die_idx, 0.0);  // sense done; wait for the channel
         acquire_channel(ch, [this, die_idx, ch, finish] {
           const auto& cur = dies_[static_cast<std::size_t>(die_idx)].queue.front();
           transferred_bytes_ += cur.transfer_bytes;
@@ -103,9 +104,9 @@ void NandArray::run_op(int die_idx) {
         transferred_bytes_ += cur.transfer_bytes;
         sim_.schedule_after(transfer_time(cur.transfer_bytes), [this, die_idx, ch, finish] {
           release_channel(ch);
-          set_die_draw(die_idx, jittered(config_.p_die_program_w), true);
+          set_die_draw(die_idx, jittered(config_.p_die_program_w));
           sim_.schedule_after(config_.t_program, [this, die_idx, finish] {
-            set_die_draw(die_idx, 0.0, true);
+            set_die_draw(die_idx, 0.0);
             finish();
           });
         });
@@ -113,9 +114,9 @@ void NandArray::run_op(int die_idx) {
       break;
     }
     case OpKind::kErase: {
-      set_die_draw(die_idx, jittered(config_.p_die_erase_w), true);
+      set_die_draw(die_idx, jittered(config_.p_die_erase_w));
       sim_.schedule_after(config_.t_erase, [this, die_idx, finish] {
-        set_die_draw(die_idx, 0.0, true);
+        set_die_draw(die_idx, 0.0);
         finish();
       });
       break;
@@ -123,7 +124,7 @@ void NandArray::run_op(int die_idx) {
   }
 }
 
-void NandArray::set_die_draw(int die_idx, Watts w, bool /*busy*/) {
+void NandArray::set_die_draw(int die_idx, Watts w) {
   auto& die = dies_[static_cast<std::size_t>(die_idx)];
   if (die.draw == w) return;
   power_ += w - die.draw;
@@ -133,11 +134,10 @@ void NandArray::set_die_draw(int die_idx, Watts w, bool /*busy*/) {
 
 void NandArray::acquire_channel(int ch, sim::UniqueCallback go) {
   auto& channel = channels_[static_cast<std::size_t>(ch)];
-  if (channel.busy) {
-    channel.waiters.push_back(std::move(go));
+  if (!channel.try_acquire()) {
+    channel.wait(1, std::move(go));
     return;
   }
-  channel.busy = true;
   ++busy_channels_;
   power_ += config_.p_channel_xfer_w;
   recompute_power();
@@ -145,16 +145,8 @@ void NandArray::acquire_channel(int ch, sim::UniqueCallback go) {
 }
 
 void NandArray::release_channel(int ch) {
-  auto& channel = channels_[static_cast<std::size_t>(ch)];
-  PAS_CHECK(channel.busy);
-  if (!channel.waiters.empty()) {
-    auto go = std::move(channel.waiters.front());
-    channel.waiters.pop_front();
-    // Channel stays busy (power unchanged); hand it to the next transfer.
-    go();
-    return;
-  }
-  channel.busy = false;
+  // A handover keeps the channel busy (power unchanged) for the next transfer.
+  if (!channels_[static_cast<std::size_t>(ch)].release()) return;
   --busy_channels_;
   power_ -= config_.p_channel_xfer_w;
   recompute_power();

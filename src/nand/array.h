@@ -19,6 +19,7 @@
 #include "common/units.h"
 #include "nand/config.h"
 #include "sim/callback.h"
+#include "sim/resources.h"
 #include "sim/ring_queue.h"
 #include "sim/simulator.h"
 
@@ -69,10 +70,6 @@ class NandArray {
     bool busy = false;
     Watts draw = 0.0;
   };
-  struct Channel {
-    sim::RingQueue<sim::UniqueCallback> waiters;  // transfer-start continuations
-    bool busy = false;
-  };
 
   int channel_of(int die) const { return die / config_.dies_per_channel; }
   TimeNs transfer_time(std::uint32_t bytes) const;
@@ -81,7 +78,7 @@ class NandArray {
 
   void start_next(int die_idx);
   void run_op(int die_idx);
-  void set_die_draw(int die_idx, Watts w, bool busy);
+  void set_die_draw(int die_idx, Watts w);
   void acquire_channel(int ch, sim::UniqueCallback go);
   void release_channel(int ch);
   void recompute_power();
@@ -90,7 +87,7 @@ class NandArray {
   NandConfig config_;
   Rng rng_;
   std::vector<Die> dies_;
-  std::vector<Channel> channels_;
+  std::vector<sim::ResourcePool> channels_;  // one unit each
   std::function<void()> on_power_change_;
   Watts power_ = 0.0;
   int busy_dies_ = 0;

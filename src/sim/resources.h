@@ -1,12 +1,17 @@
-// Queued-resource primitives used by the device models.
+// The device models' one queued-resource primitive.
 //
-// SerialResource: one user at a time, FIFO waiters (a host link, a NAND
-// channel). ResourcePool: k identical servers, FIFO waiters (controller
-// cores). Both report busy-count changes so owners can recompute power.
+// ResourcePool: a capacity of interchangeable units granted in FIFO order.
+// A host link or a NAND channel is a one-unit pool, controller cores are a
+// k-unit pool, and a write cache is a pool of bytes. The split between
+// try_acquire() and wait() mirrors PowerGovernor's try_admit()/enqueue(): the
+// common uncontended grant runs the caller's continuation inline and never
+// builds a callback. The pool calls no one back on busy edges; the owner
+// recomputes whatever depends on its busy level after a successful
+// try_acquire() and after a release() that returns true.
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
@@ -15,86 +20,56 @@
 
 namespace pas::sim {
 
-class SerialResource {
- public:
-  using BusyListener = std::function<void(bool busy)>;
-
-  void set_busy_listener(BusyListener cb) { on_busy_ = std::move(cb); }
-
-  bool busy() const { return busy_; }
-  std::size_t waiters() const { return waiters_.size(); }
-
-  // Runs `go` as soon as the resource is free (possibly immediately).
-  // The holder must call release() when done.
-  void acquire(UniqueCallback go) {
-    PAS_CHECK(go != nullptr);
-    if (busy_) {
-      waiters_.push_back(std::move(go));
-      return;
-    }
-    busy_ = true;
-    if (on_busy_) on_busy_(true);
-    go();
-  }
-
-  void release() {
-    PAS_CHECK(busy_);
-    if (!waiters_.empty()) {
-      auto go = std::move(waiters_.front());
-      waiters_.pop_front();
-      go();  // stays busy; hand over directly
-      return;
-    }
-    busy_ = false;
-    if (on_busy_) on_busy_(false);
-  }
-
- private:
-  bool busy_ = false;
-  RingQueue<UniqueCallback> waiters_;
-  BusyListener on_busy_;
-};
-
 class ResourcePool {
  public:
-  using CountListener = std::function<void(int busy_servers)>;
-
-  explicit ResourcePool(int servers) : servers_(servers) { PAS_CHECK(servers > 0); }
-
-  void set_count_listener(CountListener cb) { on_count_ = std::move(cb); }
-
-  int busy_servers() const { return busy_; }
-  int servers() const { return servers_; }
-  std::size_t waiters() const { return waiters_.size(); }
-
-  void acquire(UniqueCallback go) {
-    PAS_CHECK(go != nullptr);
-    if (busy_ >= servers_) {
-      waiters_.push_back(std::move(go));
-      return;
-    }
-    ++busy_;
-    if (on_count_) on_count_(busy_);
-    go();
+  explicit ResourcePool(std::uint64_t capacity) : capacity_(capacity) {
+    PAS_CHECK(capacity > 0);
   }
 
-  void release() {
-    PAS_CHECK(busy_ > 0);
-    if (!waiters_.empty()) {
-      auto go = std::move(waiters_.front());
+  std::uint64_t used() const { return used_; }
+  bool busy() const { return used_ > 0; }
+  std::size_t waiters() const { return waiters_.size(); }
+
+  // Takes `n` units and returns true when they are free and no waiter is
+  // queued ahead (grants stay FIFO: a small request never overtakes).
+  bool try_acquire(std::uint64_t n = 1) {
+    if (!waiters_.empty() || n > capacity_ - used_) return false;
+    used_ += n;
+    return true;
+  }
+
+  // Queues `go` until `n` units are granted to it. Valid only after
+  // try_acquire(n) failed at the same instant.
+  void wait(std::uint64_t n, UniqueCallback go) {
+    PAS_CHECK(go != nullptr);
+    PAS_CHECK_MSG(n <= capacity_, "request larger than the pool");
+    PAS_CHECK_MSG(!waiters_.empty() || n > capacity_ - used_, "wait() while grantable");
+    waiters_.push_back({n, std::move(go)});
+  }
+
+  // Returns `n` units, then grants and runs the head waiters that now fit,
+  // in order. Returns false exactly when the released units went straight to
+  // waiters (a handover: the busy level this release left is unchanged).
+  bool release(std::uint64_t n = 1) {
+    PAS_CHECK(n <= used_);
+    used_ -= n;
+    std::uint64_t granted = 0;
+    while (!waiters_.empty() && waiters_.front().first <= capacity_ - used_) {
+      // Moved out before it runs: a continuation may queue on this pool and
+      // grow the ring under a reference into it.
+      auto [need, go] = std::move(waiters_.front());
       waiters_.pop_front();
-      go();  // server count unchanged; hand over directly
-      return;
+      used_ += need;
+      granted += need;
+      go();
     }
-    --busy_;
-    if (on_count_) on_count_(busy_);
+    return granted != n;
   }
 
  private:
-  int servers_;
-  int busy_ = 0;
-  RingQueue<UniqueCallback> waiters_;
-  CountListener on_count_;
+  std::uint64_t capacity_;
+  std::uint64_t used_ = 0;
+  RingQueue<std::pair<std::uint64_t, UniqueCallback>> waiters_;
 };
 
 }  // namespace pas::sim

@@ -13,19 +13,18 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdConfig config, std::uint64_t seed)
       config_(std::move(config)),
       rng_(seed),
       nand_(sim, config_.nand, seed ^ 0xA5A5A5A5ULL),
-      governor_(sim, [this] { return meter_.power() - nand_.instantaneous_power(); }),
+      governor_(sim),
       meter_(sim.now(), 0.0),
-      cores_(config_.cmd_cores),
-      link_(),
+      cores_(static_cast<std::uint64_t>(config_.cmd_cores)),
+      buffer_(config_.write_buffer_bytes),
       buffered_(config_.capacity_bytes / config_.sector_bytes) {
+  PAS_CHECK(config_.cmd_cores > 0);  // a negative count would wrap into a huge pool
   PAS_CHECK(config_.capacity_bytes % config_.sector_bytes == 0);
   ftl_ = std::make_unique<Ftl>(
       config_, [this](nand::NandOp op) { issue_nand(std::move(op)); },
       [this](TimeNs delay, sim::UniqueCallback fn) { sim_.schedule_after(delay, std::move(fn)); },
       rng_.fork());
   nand_.set_power_listener([this] { update_power(); });
-  link_.set_busy_listener([this](bool) { update_power(); });
-  cores_.set_count_listener([this](int) { update_power(); });
   set_power_state(0);
   update_power();
 }
@@ -189,27 +188,27 @@ void SsdDevice::advance(IoContext* ctx) {
   switch (ctx->stage) {
     case IoStage::kWriteStart:
       ctx->stage = IoStage::kWriteCoreHeld;
-      cores_.acquire([this, ctx] { advance(ctx); });
+      acquire_unit(cores_, ctx);
       return;
     case IoStage::kWriteCoreHeld:
       ctx->stage = IoStage::kWriteCoreDone;
       sim_.schedule_after(scaled_write(config_.t_proc_write), [this, ctx] { advance(ctx); });
       return;
     case IoStage::kWriteCoreDone:
-      cores_.release();
+      release_unit(cores_);
       ctx->stage = IoStage::kWriteBuffered;
-      reserve_buffer(ctx->req.bytes, [this, ctx] { advance(ctx); });
+      reserve_buffer(ctx);
       return;
     case IoStage::kWriteBuffered:
       ctx->stage = IoStage::kWriteLinkHeld;
-      link_.acquire([this, ctx] { advance(ctx); });
+      acquire_unit(link_, ctx);
       return;
     case IoStage::kWriteLinkHeld:
       ctx->stage = IoStage::kWriteXferDone;
       sim_.schedule_after(link_time(ctx->req.bytes), [this, ctx] { advance(ctx); });
       return;
     case IoStage::kWriteXferDone:
-      link_.release();
+      release_unit(link_);
       enqueue_destage(ctx->req.offset / config_.sector_bytes,
                       static_cast<std::uint32_t>(ctx->req.bytes / config_.sector_bytes));
       ctx->stage = IoStage::kComplete;
@@ -219,14 +218,14 @@ void SsdDevice::advance(IoContext* ctx) {
 
     case IoStage::kReadStart:
       ctx->stage = IoStage::kReadCoreHeld;
-      cores_.acquire([this, ctx] { advance(ctx); });
+      acquire_unit(cores_, ctx);
       return;
     case IoStage::kReadCoreHeld:
       ctx->stage = IoStage::kReadCoreDone;
       sim_.schedule_after(scaled(config_.t_proc_read), [this, ctx] { advance(ctx); });
       return;
     case IoStage::kReadCoreDone: {
-      cores_.release();
+      release_unit(cores_);
       // Units still sitting in the write buffer are served from DRAM.
       ctx->media_runs.clear();
       buffered_.for_each_unbuffered(
@@ -245,14 +244,14 @@ void SsdDevice::advance(IoContext* ctx) {
     }
     case IoStage::kReadMediaDone:
       ctx->stage = IoStage::kReadLinkHeld;
-      link_.acquire([this, ctx] { advance(ctx); });
+      acquire_unit(link_, ctx);
       return;
     case IoStage::kReadLinkHeld:
       ctx->stage = IoStage::kReadXferDone;
       sim_.schedule_after(link_time(ctx->req.bytes), [this, ctx] { advance(ctx); });
       return;
     case IoStage::kReadXferDone:
-      link_.release();
+      release_unit(link_);
       ctx->stage = IoStage::kComplete;
       sim_.schedule_after(scaled(config_.t_fw_read) + dma_gap_time(ctx->req.bytes),
                           [this, ctx] { advance(ctx); });
@@ -260,14 +259,14 @@ void SsdDevice::advance(IoContext* ctx) {
 
     case IoStage::kFlushStart:
       ctx->stage = IoStage::kFlushCoreHeld;
-      cores_.acquire([this, ctx] { advance(ctx); });
+      acquire_unit(cores_, ctx);
       return;
     case IoStage::kFlushCoreHeld:
       ctx->stage = IoStage::kFlushCoreDone;
       sim_.schedule_after(scaled(config_.t_proc_write), [this, ctx] { advance(ctx); });
       return;
     case IoStage::kFlushCoreDone:
-      cores_.release();
+      release_unit(cores_);
       maybe_destage(/*force_partial=*/true);
       if (destage_runs_.empty() && inflight_programs_ == 0) {
         io_complete(ctx);
@@ -297,28 +296,32 @@ void SsdDevice::io_complete(IoContext* ctx) {
   maybe_enter_pending_slumber();
 }
 
-void SsdDevice::reserve_buffer(std::uint64_t bytes, sim::UniqueCallback granted) {
+// Cores and the link draw power while held: a grant or a release that moves
+// their busy level updates power, and a grant does so before the stage runs.
+void SsdDevice::acquire_unit(sim::ResourcePool& pool, IoContext* ctx) {
+  if (!pool.try_acquire()) {
+    pool.wait(1, [this, ctx] { advance(ctx); });
+    return;
+  }
+  update_power();
+  advance(ctx);
+}
+
+void SsdDevice::release_unit(sim::ResourcePool& pool) {
+  if (pool.release()) update_power();
+}
+
+// Buffer space draws no power of its own: no update on either edge.
+void SsdDevice::reserve_buffer(IoContext* ctx) {
+  const std::uint64_t bytes = ctx->req.bytes;
   PAS_CHECK_MSG(bytes <= config_.write_buffer_bytes,
                 "single write larger than the write buffer");
-  if (buffer_waiters_.empty() && buffer_used_ + bytes <= config_.write_buffer_bytes) {
-    buffer_used_ += bytes;
-    granted();
+  if (buffer_.try_acquire(bytes)) {
+    advance(ctx);
     return;
   }
   ++stats_.buffer_stall_events;
-  buffer_waiters_.push_back({bytes, std::move(granted)});
-}
-
-void SsdDevice::release_buffer(std::uint64_t bytes) {
-  PAS_CHECK(buffer_used_ >= bytes);
-  buffer_used_ -= bytes;
-  while (!buffer_waiters_.empty() &&
-         buffer_used_ + buffer_waiters_.front().first <= config_.write_buffer_bytes) {
-    auto [need, granted] = std::move(buffer_waiters_.front());
-    buffer_waiters_.pop_front();
-    buffer_used_ += need;
-    granted();
-  }
+  buffer_.wait(bytes, [this, ctx] { advance(ctx); });
 }
 
 SsdDevice::DestageCtx* SsdDevice::alloc_destage_ctx() {
@@ -374,7 +377,7 @@ void SsdDevice::destage_done(DestageCtx* ctx) {
   // stage that destages again and reuses this slot.
   ctx->next_free = destage_ctx_free_;
   destage_ctx_free_ = ctx;
-  release_buffer(bytes);
+  buffer_.release(bytes);
   check_flush_waiters();
   maybe_enter_pending_slumber();
 }
@@ -519,11 +522,11 @@ void SsdDevice::update_power() {
       break;
   }
   const Watts dyn = (link_.busy() ? config_.p_link_active_extra_w : 0.0) +
-                    static_cast<double>(cores_.busy_servers()) * config_.p_cmd_proc_w +
+                    static_cast<double>(cores_.used()) * config_.p_cmd_proc_w +
                     nand_.instantaneous_power();
   const Watts loss = config_.vr_loss_w_per_w2 * dyn * dyn;
   meter_.set_power(sim_.now(), base + dyn + loss);
-  governor_.on_power_change();
+  governor_.on_power_change(meter_.power() - nand_.instantaneous_power());
 }
 
 }  // namespace pas::ssd

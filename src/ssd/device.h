@@ -28,7 +28,6 @@
 #include "sim/block_device.h"
 #include "sim/power_management.h"
 #include "sim/resources.h"
-#include "sim/ring_queue.h"
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/ftl.h"
@@ -85,7 +84,7 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   // No host commands, buffered data, in-flight programs, or GC work.
   bool device_idle() const;
 
-  std::uint64_t write_buffer_used() const { return buffer_used_; }
+  std::uint64_t write_buffer_used() const { return buffer_.used(); }
 
   // IoContext pool introspection (tests): slots ever created / currently free.
   std::size_t io_ctx_allocated() const { return io_ctx_.size(); }
@@ -132,8 +131,9 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   void maybe_destage(bool force_partial);
   void destage_done(DestageCtx* ctx);
 
-  void reserve_buffer(std::uint64_t bytes, sim::UniqueCallback granted);
-  void release_buffer(std::uint64_t bytes);
+  void acquire_unit(sim::ResourcePool& pool, IoContext* ctx);
+  void release_unit(sim::ResourcePool& pool);
+  void reserve_buffer(IoContext* ctx);
   void arm_destage_timer();
   void check_flush_waiters();
 
@@ -167,7 +167,7 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   power::EnergyMeter meter_;
 
   sim::ResourcePool cores_;
-  sim::SerialResource link_;
+  sim::ResourcePool link_{1};
 
   // IO / destage context pools. Deques give stable addresses;
   // slots recycle through intrusive free lists.
@@ -177,9 +177,8 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   std::deque<DestageCtx> destage_ctx_;
   DestageCtx* destage_ctx_free_ = nullptr;
 
-  // Write buffer.
-  std::uint64_t buffer_used_ = 0;
-  sim::RingQueue<std::pair<std::uint64_t, sim::UniqueCallback>> buffer_waiters_;
+  // Write buffer, in bytes.
+  sim::ResourcePool buffer_;
   RunFifo destage_runs_;     // buffered units as coalesced runs, arrival order
   BufferedRanges buffered_;  // per-unit occupancy of the buffered units
   int inflight_programs_ = 0;

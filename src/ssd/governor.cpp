@@ -7,11 +7,6 @@
 
 namespace pas::ssd {
 
-PowerGovernor::PowerGovernor(sim::Simulator& sim, std::function<Watts()> other_power)
-    : sim_(sim), total_power_(std::move(other_power)) {
-  PAS_CHECK(total_power_ != nullptr);
-}
-
 void PowerGovernor::set_cap(Watts cap_w, Joules burst_joules, Joules hysteresis_joules) {
   integrate();
   cap_ = cap_w;
@@ -19,7 +14,6 @@ void PowerGovernor::set_cap(Watts cap_w, Joules burst_joules, Joules hysteresis_
   hysteresis_ = hysteresis_joules;
   paused_ = false;
   credit_ = burst_joules;  // fresh budget on a state change
-  last_p_ = total_power_();
   drain();
 }
 
@@ -33,9 +27,9 @@ void PowerGovernor::integrate() {
   last_t_ = now;
 }
 
-void PowerGovernor::on_power_change() {
+void PowerGovernor::on_power_change(Watts other_w) {
   integrate();
-  last_p_ = total_power_();
+  last_p_ = other_w;
   if (!queue_.empty()) drain();
 }
 

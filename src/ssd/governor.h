@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "common/check.h"
@@ -30,21 +29,23 @@ namespace pas::ssd {
 
 class PowerGovernor {
  public:
-  // `other_power` must return the device's current draw excluding the NAND
-  // array (whose energy is charged per-op at admission).
-  PowerGovernor(sim::Simulator& sim, std::function<Watts()> other_power);
+  explicit PowerGovernor(sim::Simulator& sim) : sim_(sim) {}
 
-  // cap_w <= 0 disables capping. `burst_joules` is the credit ceiling.
-  // `hysteresis_joules` makes enforcement duty-cycle: once the budget is
-  // exhausted, issue pauses until this much credit accumulates (firmware
-  // throttles in coarse on/off windows, which is what produces the paper's
-  // Figure 5 tail-latency blowup under low power states).
+  // cap_w <= 0 disables capping. The budget refills at the cap minus the
+  // last power reported through on_power_change() (0 W before the first).
+  // `burst_joules` is the credit ceiling. `hysteresis_joules` makes
+  // enforcement duty-cycle: once the budget is exhausted, issue pauses until
+  // this much credit accumulates (firmware throttles in coarse on/off
+  // windows, which is what produces the paper's Figure 5 tail-latency blowup
+  // under low power states).
   void set_cap(Watts cap_w, Joules burst_joules, Joules hysteresis_joules = 0.0);
   Watts cap() const { return cap_; }
   bool capped() const { return cap_ > 0.0; }
 
-  // Must be called after every change to the device's total power.
-  void on_power_change();
+  // Must be called after every change to the device's total power, with the
+  // draw excluding the NAND array (whose energy is charged per op at
+  // admission).
+  void on_power_change(Watts other_w);
 
   // Charges the budget and returns true when an op of the given cost can
   // issue right now (uncapped state, or credit available with no queue to
@@ -78,7 +79,6 @@ class PowerGovernor {
   Joules resume_level() const;
 
   sim::Simulator& sim_;
-  std::function<Watts()> total_power_;
   Watts cap_ = 0.0;
   Joules burst_ = 0.0;
   Joules hysteresis_ = 0.0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "devices/specs.h"
 #include "iogen/engine.h"
 #include "sim/simulator.h"
@@ -139,6 +142,48 @@ TEST(HddDevice, FlushDrainsDirtyData) {
   EXPECT_TRUE(flush_done);
   EXPECT_EQ(dev.dirty_bytes(), 0u);
   EXPECT_EQ(dev.stats().media_writes, 16u);
+}
+
+TEST(HddDevice, FullCacheBackPressuresWritesInFifoOrder) {
+  sim::Simulator sim;
+  auto cfg = exos();
+  cfg.cache_bytes = 64 * KiB;
+  HddDevice dev(sim, cfg, 1);
+  // A and B fit (48 KiB); C (32 KiB) does not and queues; D (4 KiB) would
+  // fit beside A and B but must not overtake C.
+  struct Write {
+    char name;
+    std::uint64_t offset;
+    std::uint32_t bytes;
+  };
+  const Write writes[] = {{'A', 0, 32 * KiB},
+                          {'B', 1 * GiB, 16 * KiB},
+                          {'C', 2 * GiB, 32 * KiB},
+                          {'D', 3 * GiB, 4 * KiB}};
+  std::string order;
+  std::map<char, TimeNs> latency;
+  std::map<char, std::uint64_t> destaged_before;  // media writes at completion
+  for (const Write& w : writes) {
+    dev.submit(sim::IoRequest{sim::IoOp::kWrite, w.offset, w.bytes},
+               [&, name = w.name](const sim::IoCompletion& c) {
+                 order += name;
+                 latency[name] = c.latency();
+                 destaged_before[name] = dev.stats().media_writes;
+               });
+  }
+  sim.run_to_completion();
+  EXPECT_EQ(order, "ABCD");
+  // A and B are absorbed at link speed.
+  EXPECT_LT(latency['A'], microseconds(200));
+  EXPECT_LT(latency['B'], microseconds(400));
+  // C waits for destage to free space: the write-back delay, then A's
+  // destage (C-LOOK from offset 0), whose 32 KiB release admits C, then D.
+  EXPECT_GT(latency['C'], cfg.writeback_delay);
+  EXPECT_EQ(destaged_before['C'], 1u);
+  EXPECT_EQ(destaged_before['D'], 1u);
+  EXPECT_GT(latency['D'], cfg.writeback_delay);
+  EXPECT_EQ(dev.stats().media_writes, 4u);
+  EXPECT_EQ(dev.dirty_bytes(), 0u);
 }
 
 TEST(HddDevice, NcqImprovesRandomReadThroughput) {

@@ -177,7 +177,7 @@ TEST(SsdDatapath, FlushForcesPartialDestage) {
 
 // Write-buffer admission is strictly FIFO: once any write waits for buffer
 // space, a later smaller write that would fit must queue behind it rather
-// than overtake (reserve_buffer's fast path requires an empty waiter queue).
+// than overtake (the buffer pool's try_acquire fails while a waiter is queued).
 //
 // Geometry is chosen so admission order is observable as completion order:
 // one die with 4 KiB stripes destages the full buffer in 4 KiB steps spaced

@@ -147,6 +147,16 @@ TEST(SsdDevice, InvalidPowerStateAborts) {
   EXPECT_DEATH(dev.set_power_state(-1), "");
 }
 
+TEST(SsdDevice, NonPositiveCmdCoresAborts) {
+  // -1 must not wrap into a huge core pool.
+  for (int cores : {0, -1}) {
+    sim::Simulator sim;
+    auto cfg = ssd2_p5510();
+    cfg.cmd_cores = cores;
+    EXPECT_DEATH(SsdDevice(sim, cfg, 1), "") << "cmd_cores " << cores;
+  }
+}
+
 TEST(SsdDevice, RejectsMalformedIo) {
   sim::Simulator sim;
   SsdDevice dev(sim, ssd2_p5510(), 1);

@@ -8,11 +8,14 @@
 namespace pas::ssd {
 namespace {
 
-// Harness with a scripted "other power" (non-NAND) level.
+// Harness with a scripted "other power" (non-NAND) level, reported the way a
+// device reports it: through on_power_change().
 struct GovHarness {
+  GovHarness() { report(5.0); }
+  void report(Watts other_w) { gov.on_power_change(other_w); }
+
   sim::Simulator sim;
-  Watts other_power = 5.0;
-  PowerGovernor gov{sim, [this] { return other_power; }};
+  PowerGovernor gov{sim};
 };
 
 TEST(PowerGovernor, UncappedAdmitsImmediately) {
@@ -37,7 +40,7 @@ TEST(PowerGovernor, AdmitsWithinBurstBudget) {
 
 TEST(PowerGovernor, CreditRefillsAtCapMinusOtherPower) {
   GovHarness h;
-  h.other_power = 6.0;
+  h.report(6.0);  // set_cap refills from the last reported power
   h.gov.set_cap(10.0, 1.0, 0.0);
   int ran = 0;
   for (int i = 0; i < 4; ++i) h.gov.admit(0.5, [&] { ++ran; });
@@ -51,7 +54,7 @@ TEST(PowerGovernor, CreditRefillsAtCapMinusOtherPower) {
 
 TEST(PowerGovernor, NoRefillWhileOverCap) {
   GovHarness h;
-  h.other_power = 12.0;  // above the 10 W cap: credit can never grow
+  h.report(12.0);  // above the 10 W cap: credit can never grow
   h.gov.set_cap(10.0, 1.0, 0.0);
   int ran = 0;
   h.gov.admit(0.9, [&] { ++ran; });  // burns most of the initial credit
@@ -60,8 +63,7 @@ TEST(PowerGovernor, NoRefillWhileOverCap) {
   h.sim.run_until(seconds(5));
   EXPECT_EQ(ran, 1);  // still starved
   // Load drops below the cap: refill resumes and the op eventually runs.
-  h.other_power = 5.0;
-  h.gov.on_power_change();
+  h.report(5.0);
   h.sim.run_until(seconds(6));
   EXPECT_EQ(ran, 2);
 }
@@ -80,7 +82,6 @@ TEST(PowerGovernor, FifoOrderPreserved) {
 
 TEST(PowerGovernor, HysteresisDutyCycles) {
   GovHarness h;
-  h.other_power = 5.0;
   // Cap 10 W, tiny burst, large hysteresis: after exhaustion, issue pauses
   // until 0.5 J accumulates (100 ms at 5 W of headroom).
   h.gov.set_cap(10.0, 0.5, 0.5);
@@ -134,11 +135,11 @@ TEST(PowerGovernor, ZeroCostOpsStillOrderedBehindQueue) {
 
 TEST(PowerGovernor, CreditNeverExceedsBurst) {
   GovHarness h;
-  h.other_power = 0.0;
+  h.report(0.0);
   h.gov.set_cap(10.0, 1.0, 0.0);
   h.sim.schedule_at(seconds(10), [] {});
   h.sim.run_to_completion();
-  h.gov.on_power_change();
+  h.report(0.0);
   EXPECT_LE(h.gov.credit(), 1.0 + 1e-9);
 }
 
