@@ -3,6 +3,12 @@
 // path. These bound how long the paper-scale sweeps take.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <iterator>
+#include <vector>
+
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "devices/specs.h"
@@ -77,6 +83,65 @@ void BM_SimulatorPeriodicTicks(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorPeriodicTicks);
+
+// The measured campaign/fleet traffic shape: `chains` events in flight,
+// each stepping through a cycle of 12 constant delays (firmware stages,
+// channel transfers, NAND read/program/erase, link, destage timer), with
+// about 5 % of steps taking an exponentially distributed one-off delay
+// instead (Poisson arrivals, HDD seeks, the background timer).
+class DelayMix {
+ public:
+  DelayMix(int chains, std::uint64_t events) : steps_(static_cast<std::size_t>(chains)),
+                                                 budget_(events) {}
+
+  std::uint64_t run() {
+    for (std::size_t c = 0; c < steps_.size(); ++c) {
+      steps_[c] = c % std::size(kDelays);
+      sim_.schedule_after(kDelays[steps_[c]], Step{this, c});
+    }
+    sim_.run_to_completion();
+    return fired_;
+  }
+
+ private:
+  static constexpr TimeNs kDelays[12] = {1'500,  4'000,   6'000,   8'000,   10'000,  20'000,
+                                         62'500, 70'000, 200'000, 600'000, 1'000'000, 3'000'000};
+
+  struct Step {
+    DelayMix* mix;
+    std::size_t chain;
+    void operator()() const { mix->step(chain); }
+  };
+
+  void step(std::size_t chain) {
+    if (++fired_ >= budget_) return;
+    TimeNs delay;
+    if (rng_.next_below(100) < 5) {
+      delay = static_cast<TimeNs>(-std::log(std::max(1e-12, rng_.next_double())) * 100'000.0);
+    } else {
+      steps_[chain] = (steps_[chain] + 1) % std::size(kDelays);
+      delay = kDelays[steps_[chain]];
+    }
+    sim_.schedule_after(delay, Step{this, chain});
+  }
+
+  sim::Simulator sim_;
+  Rng rng_{1};
+  std::vector<std::size_t> steps_;
+  std::uint64_t budget_;
+  std::uint64_t fired_ = 0;
+};
+
+void BM_SimulatorDelayMix(benchmark::State& state) {
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    DelayMix mix(static_cast<int>(state.range(0)), 100'000);
+    fired += mix.run();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_SimulatorDelayMix)->Arg(16)->Arg(64);
 
 void BM_RngNextBelow(benchmark::State& state) {
   Rng rng(1);

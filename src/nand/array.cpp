@@ -154,7 +154,7 @@ void NandArray::release_channel(int ch) {
 
 void NandArray::recompute_power() {
   if (power_ < 1e-12) power_ = 0.0;  // absorb float residue
-  if (on_power_change_) on_power_change_();
+  if (power_listener_ != nullptr) power_listener_(power_listener_ctx_);
 }
 
 }  // namespace pas::nand

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,9 +48,15 @@ class NandArray {
   // Ground-truth instantaneous draw of dies + channels.
   Watts instantaneous_power() const { return power_; }
 
-  // Invoked whenever instantaneous_power() changes (device recomputes its
-  // total and updates its energy meter).
-  void set_power_listener(std::function<void()> cb) { on_power_change_ = std::move(cb); }
+  // `fn(ctx)` is invoked whenever instantaneous_power() changes (the owning
+  // device recomputes its total and updates its energy meter). A plain
+  // function pointer keeps the hot path a direct call without the array
+  // knowing the device type; nullptr detaches.
+  using PowerListener = void (*)(void* ctx);
+  void set_power_listener(PowerListener fn, void* ctx) {
+    power_listener_ = fn;
+    power_listener_ctx_ = ctx;
+  }
 
   const NandConfig& config() const { return config_; }
 
@@ -88,7 +93,8 @@ class NandArray {
   Rng rng_;
   std::vector<Die> dies_;
   std::vector<sim::ResourcePool> channels_;  // one unit each
-  std::function<void()> on_power_change_;
+  PowerListener power_listener_ = nullptr;
+  void* power_listener_ctx_ = nullptr;
   Watts power_ = 0.0;
   int busy_dies_ = 0;
   int busy_channels_ = 0;

@@ -5,11 +5,12 @@
 // ground truth the sampled measurement rig is validated against.
 //
 // The meter doubles as the publication point of the device's segment stream
-// (sim/power_signal.h): an attached PowerObserver sees the post-update state
-// of EVERY set_power call — same-value writes included, because each call
-// advances the energy accumulator by one FP add and observers that mirror
-// the counter must replay the adds one for one.
+// (sim/power_signal.h), on the pull contract: an attached PowerObserver is
+// called only for an update past its due time — one compare per update —
+// and gets the segment that update closes.
 #pragma once
+
+#include <limits>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -27,10 +28,10 @@ class EnergyMeter {
   void set_power(TimeNs now, Watts w) {
     PAS_CHECK(now >= last_update_);
     PAS_CHECK(w >= 0.0);
+    if (now > due_) due_ = observer_->on_power_update(segment(), now);
     energy_ += power_ * to_seconds(now - last_update_);
     last_update_ = now;
     power_ = w;
-    if (observer_ != nullptr) observer_->on_power_update(segment());
   }
 
   Watts power() const { return power_; }
@@ -46,19 +47,23 @@ class EnergyMeter {
     return sim::PowerSegment{last_update_, power_, energy_};
   }
 
-  // One observer at a time (nullptr detaches): two independent mirrors of
+  // One observer at a time (nullptr detaches): two independent readers of
   // one signal is almost certainly a wiring bug, so replacing a live
   // observer with a different one aborts.
   void set_observer(sim::PowerObserver* observer) {
     PAS_CHECK_MSG(observer == nullptr || observer_ == nullptr || observer_ == observer,
                   "meter already has a different power observer");
     observer_ = observer;
+    due_ = observer != nullptr ? observer->next_due() : kNever;
   }
 
  private:
+  static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+
   TimeNs last_update_ = 0;
   Watts power_ = 0.0;
   Joules energy_ = 0.0;
+  TimeNs due_ = kNever;  // no call for an update at or before this instant
   sim::PowerObserver* observer_ = nullptr;
 };
 

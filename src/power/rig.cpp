@@ -64,9 +64,8 @@ void MeasurementRig::start() {
     task_.start();
     return;
   }
-  // Snapshot the meter's exact open segment, then mirror every update from
-  // here on. The first tick is one period out, as the periodic path's arm().
-  seg_ = device_.power_segment();
+  // The first tick is one period out, as the periodic path's arm(); the
+  // meter adopts it as the due time when the rig attaches.
   next_tick_ = sim_.now() + config_.sample_period;
   device_.set_power_observer(this);
 }
@@ -82,30 +81,27 @@ void MeasurementRig::stop() {
   started_ = false;
 }
 
-void MeasurementRig::on_power_update(const sim::PowerSegment& seg) {
-  // Ticks strictly before the update were taken under the closing segment.
-  // A tick exactly at seg.since stays pending: the energy expression is
-  // bit-identical under either segment (the meter advanced its accumulator
-  // with exactly the closing segment's arithmetic), and the instantaneous
-  // convention is "last level set at or before the tick".
-  while (next_tick_ < seg.since) push_tick();
-  seg_ = seg;
+TimeNs MeasurementRig::on_power_update(const sim::PowerSegment& closing, TimeNs at) {
+  // Every tick from next_tick_ up to `at` lies inside the closing segment:
+  // next_tick_ is never before the meter's last update while attached.
+  while (next_tick_ < at) push_tick(closing);
+  return next_tick_;
 }
 
-void MeasurementRig::push_tick() {
+void MeasurementRig::push_tick(const sim::PowerSegment& seg) {
   const TimeNs now = next_tick_;
   double true_power;
   if (config_.integrating) {
-    // Same operands the live tick's device_.consumed_energy() produced:
-    // the meter's post-update state is mirrored in seg_.
-    const Joules energy = seg_.energy_before + seg_.power * to_seconds(now - seg_.since);
+    // The operands of energy_at(now) on the meter's segment in effect at
+    // the tick: the value a live tick's device_.consumed_energy() produced.
+    const Joules energy = seg.energy_before + seg.power * to_seconds(now - seg.since);
     const TimeNs dt = now - last_sample_time_;
     PAS_CHECK(dt > 0);
     true_power = (energy - last_energy_) / to_seconds(dt);
     last_energy_ = energy;
     last_sample_time_ = now;
   } else {
-    true_power = seg_.power;
+    true_power = seg.power;
   }
   if (pending_raw_.empty()) pending_first_t_ = now;
   pending_raw_.push_back(true_power);
@@ -114,8 +110,13 @@ void MeasurementRig::push_tick() {
 
 void MeasurementRig::materialize() {
   if (started_ && !config_.event_driven) {
+    // Ticks up to now() lie inside the open segment: updates since the last
+    // call were all at or before next_tick_.
     const TimeNs now = sim_.now();
-    while (next_tick_ <= now) push_tick();
+    if (next_tick_ <= now) {
+      const sim::PowerSegment open = device_.power_segment();
+      while (next_tick_ <= now) push_tick(open);
+    }
   }
   flush_pending();
 }

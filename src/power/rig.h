@@ -11,18 +11,20 @@
 // rig does; residual systematic error stays below 1% (validated in tests).
 //
 // Sampling is SEGMENT-LAZY (DESIGN.md section 13): the rig schedules no
-// simulator events. It mirrors the device's piecewise-constant power signal
-// through the PowerObserver hook (sim/power_signal.h) — each mirror update
-// first converts any ADC ticks that elapsed under the closing segment into
-// raw true-power values (exact per-segment energy arithmetic, identical to
-// what a live tick would have read) — and defers the expensive measurement
-// chain (two gaussian draws, quantization) plus retention dispatch to
-// materialize(), which replays the pending ticks in one batch loop in exact
-// per-sample order. Because the noise RNG is drawn in the same order and the
-// energy expressions use the same operands, every retention mode is
-// bit-identical to a per-tick sampler that schedules one event per ADC tick.
-// That per-tick path (config.event_driven) is the test oracle only:
-// power_rig_lazy_test's mode matrix compares the lazy rig against it.
+// simulator events. It pulls the device's piecewise-constant power signal
+// (sim/power_signal.h): the meter calls the rig only for an update past the
+// next ADC tick, handing over the segment that update closes, and the rig
+// converts the ticks that segment covers into raw true-power values (exact
+// per-segment energy arithmetic, identical to what a live tick would have
+// read). materialize() converts the remaining ticks under the device's open
+// power_segment(), then runs the expensive measurement chain (two gaussian
+// draws, quantization) plus retention dispatch over the pending ticks in
+// one batch loop in exact per-sample order. Because the noise RNG is drawn
+// in the same order and the energy expressions use the meter's own
+// operands, every retention mode is bit-identical to a per-tick sampler
+// that schedules one event per ADC tick. That per-tick path
+// (config.event_driven) is the test oracle only: power_rig_lazy_test's mode
+// matrix compares the lazy rig against it.
 #pragma once
 
 #include <functional>
@@ -117,15 +119,17 @@ class MeasurementRig : private sim::PowerObserver {
   void sample();
 
   // --- segment-lazy internals ---
-  // Mirror update: converts ticks strictly before seg.since under the
-  // closing segment, then adopts seg. A tick exactly at seg.since is left
-  // for a later update or materialize() — the energy expression is
-  // bit-identical under either segment (the meter's accumulator was updated
-  // with exactly the closing segment's arithmetic), and an instantaneous
-  // sample takes the LAST level set at or before the tick.
-  void on_power_update(const sim::PowerSegment& seg) override;
-  // Converts the tick at next_tick_ into a raw pending value under seg_.
-  void push_tick();
+  // The meter calls for an update at `at` past next_tick_: converts the
+  // ticks strictly before `at` under the closing segment and returns the
+  // next due tick. A tick exactly at `at` stays pending: the energy
+  // expression is bit-identical under either segment (the meter advanced
+  // its accumulator with exactly the closing segment's arithmetic), and an
+  // instantaneous sample takes the LAST level set at or before the tick,
+  // which a later segment or materialize() supplies.
+  TimeNs next_due() const override { return next_tick_; }
+  TimeNs on_power_update(const sim::PowerSegment& closing, TimeNs at) override;
+  // Converts the tick at next_tick_ into a raw pending value under `seg`.
+  void push_tick(const sim::PowerSegment& seg);
   // Runs the measurement chain + retention dispatch over pending ticks.
   void flush_pending();
   [[noreturn]] void fail(const char* what) const;
@@ -158,10 +162,10 @@ class MeasurementRig : private sim::PowerObserver {
   TimeNs last_sample_time_ = 0;
   bool started_ = false;
 
-  // Segment-lazy state: the mirrored open segment, the next tick to convert,
-  // and the raw true-power values of ticks converted but not yet measured
-  // (pending_raw_[i] belongs to pending_first_t_ + i * sample_period).
-  sim::PowerSegment seg_;
+  // Segment-lazy state: the next tick to convert (never before the meter's
+  // last update while attached), and the raw true-power values of ticks
+  // converted but not yet measured (pending_raw_[i] belongs to
+  // pending_first_t_ + i * sample_period).
   TimeNs next_tick_ = 0;
   TimeNs pending_first_t_ = 0;
   std::vector<double> pending_raw_;

@@ -79,8 +79,9 @@ class BlockDevice {
   // produce wrong samples. Plain IO test doubles need not override.
   virtual PowerSegment power_segment() const;
 
-  // Registers the single observer notified on every power update (nullptr
-  // detaches). The measurement rig attaches here while running; devices must
+  // Registers the single power observer (nullptr detaches), called on the
+  // pull contract of sim/power_signal.h: only for an update past its due
+  // time. The measurement rig attaches here while running; devices must
   // abort if a second distinct observer tries to attach.
   virtual void set_power_observer(PowerObserver* observer);
 };

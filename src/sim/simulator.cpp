@@ -6,11 +6,7 @@
 namespace pas::sim {
 
 Simulator::Simulator()
-    : heap_t_(new TimeNs[1024]),
-      heap_meta_(new Meta[1024]),
-      heap_cap_(1024),
-      mono_(new MonoEntry[1024]),
-      mono_cap_(1024) {}
+    : heap_t_(new TimeNs[1024]), heap_meta_(new Meta[1024]), heap_cap_(1024) {}
 
 Simulator::~Simulator() {
   // Fired and cancelled slots already had their callback reset, so the only
@@ -22,9 +18,13 @@ Simulator::~Simulator() {
     const EventId id = heap_meta_[i].id;
     if (id_live(id)) slot(slot_of(id)).cb.reset();
   }
-  for (std::size_t i = 0; i < mono_size_; ++i) {
-    const EventId id = mono_[(mono_head_ + i) & (mono_cap_ - 1)].id;
-    if (id_live(id)) slot(slot_of(id)).cb.reset();
+  if (rings_ == 0) return;
+  for (const Lane& lane : lanes_) {
+    for (std::uint32_t i = 0; i < lane.size; ++i) {
+      const EventId id = lane.ring[(lane.head + i) & (lane.cap - 1)].m.id;
+      if (id_live(id)) slot(slot_of(id)).cb.reset();
+    }
+    delete[] lane.ring;
   }
 }
 
@@ -43,16 +43,18 @@ void Simulator::grow_heap() {
   heap_cap_ = cap;
 }
 
-void Simulator::grow_mono() {
-  const std::size_t cap = mono_cap_ * 2;
-  std::unique_ptr<MonoEntry[]> ring(new MonoEntry[cap]);
+void Simulator::grow_lane(Lane& lane) {
+  if (lane.cap == 0) ++rings_;
+  const std::uint32_t cap = lane.cap == 0 ? 16 : lane.cap * 2;
+  auto* ring = new LaneEntry[cap];
   // Linearize the old ring while copying so head restarts at zero.
-  for (std::size_t i = 0; i < mono_size_; ++i) {
-    ring[i] = mono_[(mono_head_ + i) & (mono_cap_ - 1)];
+  for (std::uint32_t i = 0; i < lane.size; ++i) {
+    ring[i] = lane.ring[(lane.head + i) & (lane.cap - 1)];
   }
-  mono_ = std::move(ring);
-  mono_head_ = 0;
-  mono_cap_ = cap;
+  delete[] lane.ring;
+  lane.ring = ring;
+  lane.head = 0;
+  lane.cap = cap;
 }
 
 void Simulator::sift_down(std::size_t i) {
@@ -67,8 +69,8 @@ void Simulator::sift_down(std::size_t i) {
     for (std::size_t c = first + 1; c < limit; ++c) {
       if (entry_before(c, best)) best = c;
     }
-    // seq is unique per entry, so "best not before e" == "e before best".
-    if (key_before(e_t, e_m.seq, best)) break;
+    // keys are unique, so "best not before e" == "e before best".
+    if (key_before(e_t, e_m.key, best)) break;
     heap_t_[i] = heap_t_[best];
     heap_meta_[i] = heap_meta_[best];
     i = best;
@@ -77,32 +79,45 @@ void Simulator::sift_down(std::size_t i) {
   heap_meta_[i] = e_m;
 }
 
-void Simulator::prune_heap() {
-  // Lazy deletion leaves tombstones in both queues; compact once they
-  // dominate so cancel-heavy workloads (timeout guards that almost never
-  // fire) stay O(live). Filtering + re-heapifying preserves the (t, seq)
-  // total order, so execution order is unchanged.
+void Simulator::prune() {
+  // Lazy deletion leaves tombstones in the heap and in the lanes; compact
+  // once they dominate so cancel-heavy workloads (timeout guards that almost
+  // never fire) stay O(live). Filtering lanes in place keeps them sorted, a
+  // dead lane front is replaced by the lane's next live entry, and the heap
+  // is rebuilt over the survivors, so the (t, key) order is unchanged.
   std::size_t out = 0;
-  const std::size_t n = heap_size_;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (id_live(heap_meta_[i].id)) {
-      heap_t_[out] = heap_t_[i];
-      heap_meta_[out] = heap_meta_[i];
-      ++out;
+  for (std::size_t i = 0; i < heap_size_; ++i) {
+    TimeNs t = heap_t_[i];
+    Meta m = heap_meta_[i];
+    const auto tag = static_cast<std::uint32_t>(m.key & kTagMask);
+    if (tag != 0) {
+      // Each live lane fronts exactly one heap entry, so its ring is
+      // compacted exactly once.
+      Lane& lane = lanes_[tag - 1];
+      std::uint32_t kept = 0;
+      for (std::uint32_t j = 0; j < lane.size; ++j) {
+        const LaneEntry e = lane.ring[(lane.head + j) & (lane.cap - 1)];
+        if (id_live(e.m.id)) lane.ring[(lane.head + kept++) & (lane.cap - 1)] = e;
+      }
+      lane.size = kept;
+      if (!id_live(m.id)) {
+        if (lane.size == 0) {
+          lane.live = false;
+          continue;
+        }
+        const LaneEntry next = lane_pop(lane);
+        t = next.t;
+        m = next.m;
+      }
+    } else if (!id_live(m.id)) {
+      continue;
     }
+    heap_t_[out] = t;
+    heap_meta_[out] = m;
+    ++out;
   }
   heap_size_ = out;
-  // The mono ring compacts in place: dropping dead entries keeps it sorted.
-  std::size_t mout = 0;
-  for (std::size_t i = 0; i < mono_size_; ++i) {
-    const MonoEntry e = mono_[(mono_head_ + i) & (mono_cap_ - 1)];
-    if (id_live(e.id)) {
-      mono_[(mono_head_ + mout) & (mono_cap_ - 1)] = e;
-      ++mout;
-    }
-  }
-  mono_size_ = mout;
-  stale_in_heap_ = 0;
+  stale_ = 0;
   if (out < 2) return;
   for (std::size_t i = ((out - 2) >> kArityShift) + 1; i-- > 0;) sift_down(i);
 }

@@ -24,7 +24,8 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdConfig config, std::uint64_t seed)
       config_, [this](nand::NandOp op) { issue_nand(std::move(op)); },
       [this](TimeNs delay, sim::UniqueCallback fn) { sim_.schedule_after(delay, std::move(fn)); },
       rng_.fork());
-  nand_.set_power_listener([this] { update_power(); });
+  nand_.set_power_listener([](void* dev) { static_cast<SsdDevice*>(dev)->update_power(); },
+                           this);
   set_power_state(0);
   update_power();
 }
@@ -81,6 +82,11 @@ void SsdDevice::set_power_state(int ps) {
     PAS_CHECK(write_speed_ > 0.0);
     PAS_CHECK_MSG(cap <= 0.0 || cap > config_.p_ctrl_static_w + config_.p_link_idle_w,
                   "power cap below the device's static floor");
+  }
+  // update_power() feeds the governor only while it is capped; an uncapped
+  // governor learns the current non-NAND draw before a cap can integrate it.
+  if (!governor_.capped()) {
+    governor_.on_power_change(meter_.power() - nand_.instantaneous_power());
   }
   governor_.set_cap(cap, cap * config_.governor_burst_seconds,
                     cap * config_.governor_hysteresis_seconds);
@@ -526,7 +532,11 @@ void SsdDevice::update_power() {
                     nand_.instantaneous_power();
   const Watts loss = config_.vr_loss_w_per_w2 * dyn * dyn;
   meter_.set_power(sim_.now(), base + dyn + loss);
-  governor_.on_power_change(meter_.power() - nand_.instantaneous_power());
+  // An uncapped governor's integrate() only stamps its clock and its queue
+  // is empty, so it is told nothing until set_power_state() caps it.
+  if (governor_.capped()) {
+    governor_.on_power_change(meter_.power() - nand_.instantaneous_power());
+  }
 }
 
 }  // namespace pas::ssd

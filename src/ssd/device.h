@@ -11,7 +11,8 @@
 // SLUMBER / transition), busy firmware cores, the NAND array, and a
 // voltage-regulator loss term that grows with the square of dynamic power
 // (see SsdConfig::vr_loss_w_per_w2). Every component change updates an exact
-// EnergyMeter, which both the measurement rig and the governor observe.
+// EnergyMeter, which the measurement rig reads, and reports the non-NAND
+// draw to the power governor while it is capped.
 #pragma once
 
 #include <cstdint>

@@ -42,9 +42,11 @@ class PowerGovernor {
   Watts cap() const { return cap_; }
   bool capped() const { return cap_ > 0.0; }
 
-  // Must be called after every change to the device's total power, with the
-  // draw excluding the NAND array (whose energy is charged per op at
-  // admission).
+  // Reports the device's draw excluding the NAND array (whose energy is
+  // charged per op at admission). Must be called after every change to the
+  // device's total power while capped; an uncapped governor only needs the
+  // current draw once, before set_cap() caps it (while uncapped,
+  // integrate() just stamps the clock and the queue is empty).
   void on_power_change(Watts other_w);
 
   // Charges the budget and returns true when an op of the given cost can

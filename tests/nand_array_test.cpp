@@ -145,7 +145,7 @@ TEST(NandArray, PowerListenerFires) {
   sim::Simulator sim;
   NandArray array(sim, small_config());
   int notifications = 0;
-  array.set_power_listener([&] { ++notifications; });
+  array.set_power_listener([](void* n) { ++*static_cast<int*>(n); }, &notifications);
   array.submit({OpKind::kErase, 0, 0, false, [] {}});
   sim.run_to_completion();
   EXPECT_GE(notifications, 2);  // at least erase start + end

@@ -45,6 +45,63 @@ TEST(EnergyMeter, StartOffsetRespected) {
   EXPECT_DOUBLE_EQ(m.energy_at(seconds(7)), 4.0);
 }
 
+// Observer on a fixed tick grid that counts the meter's calls.
+class TickObserver : public sim::PowerObserver {
+ public:
+  explicit TickObserver(TimeNs period) : period_(period), due_(period) {}
+  TimeNs next_due() const override { return due_; }
+  TimeNs on_power_update(const sim::PowerSegment& closing, TimeNs at) override {
+    ++calls;
+    last_closing = closing;
+    last_at = at;
+    while (due_ < at) due_ += period_;
+    return due_;
+  }
+
+  int calls = 0;
+  sim::PowerSegment last_closing;
+  TimeNs last_at = 0;
+
+ private:
+  TimeNs period_;
+  TimeNs due_;
+};
+
+TEST(EnergyMeter, ObserverPulledOnlyPastItsDueTime) {
+  EnergyMeter m(0, 1.0);
+  TickObserver obs(milliseconds(1));
+  m.set_observer(&obs);
+  // 10 000 updates inside one tick period, the last exactly on the tick.
+  for (TimeNs i = 1; i <= 10000; ++i) m.set_power(i * 100, 1.0 + static_cast<double>(i % 7));
+  EXPECT_EQ(obs.calls, 0);
+  // One update crossing five ticks: one call, handed the segment it closes.
+  const sim::PowerSegment closing = m.segment();
+  m.set_power(milliseconds(6) + 1, 3.0);
+  EXPECT_EQ(obs.calls, 1);
+  EXPECT_EQ(obs.last_at, milliseconds(6) + 1);
+  EXPECT_EQ(obs.last_closing.since, closing.since);
+  EXPECT_EQ(obs.last_closing.power, closing.power);
+  EXPECT_EQ(obs.last_closing.energy_before, closing.energy_before);
+  // Due again at the next tick (7 ms), not before.
+  m.set_power(milliseconds(7), 2.0);
+  EXPECT_EQ(obs.calls, 1);
+  m.set_power(milliseconds(7) + 1, 2.0);
+  EXPECT_EQ(obs.calls, 2);
+  // A detached observer hears nothing.
+  m.set_observer(nullptr);
+  m.set_power(seconds(1), 0.0);
+  EXPECT_EQ(obs.calls, 2);
+}
+
+TEST(EnergyMeter, SecondObserverAborts) {
+  EnergyMeter m;
+  TickObserver a(milliseconds(1));
+  TickObserver b(milliseconds(1));
+  m.set_observer(&a);
+  m.set_observer(&a);  // re-attaching the same observer is fine
+  EXPECT_DEATH(m.set_observer(&b), "different power observer");
+}
+
 TEST(EnergyMeter, BackwardsTimeAborts) {
   EnergyMeter m;
   m.set_power(seconds(2), 1.0);

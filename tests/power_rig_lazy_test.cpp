@@ -164,6 +164,37 @@ TEST(SegmentLazyMatrix, IntegratingImmuneToOnGridChanges) {
   expect_identical_traces(lazy.rig.trace(), ref.rig.trace());
 }
 
+// Instantaneous mode with several updates landing exactly on a tick: the
+// sample takes the LAST level set at or before the tick, whether
+// materialize() converts the tick at that very instant or a later update
+// converts it under the segment it closes.
+TEST(SegmentLazyMatrix, InstantaneousTakesLastLevelSetAtTick) {
+  RigConfig rc;
+  rc.integrating = false;
+  auto tick_sample = [&rc](const std::vector<Watts>& levels, bool materialize_at_tick) {
+    Column c(rc, 5);
+    c.rig.start();
+    c.sim.run_until(milliseconds(2));  // the second tick's instant
+    for (Watts w : levels) c.dev.set_power(w);
+    if (materialize_at_tick) {
+      c.rig.materialize();
+    } else {
+      c.sim.run_until(microseconds(2500));
+      c.dev.set_power(0.25);
+    }
+    c.sim.run_until(milliseconds(4));
+    c.rig.stop();
+    const PowerTrace trace = c.rig.take_trace();
+    EXPECT_EQ(trace.time_at(1), milliseconds(2));
+    return trace.watts()[1];
+  };
+  const Watts last_only = tick_sample({6.5}, true);
+  EXPECT_NE(tick_sample({4.0}, true), last_only);
+  for (bool at_tick : {true, false}) {
+    EXPECT_EQ(tick_sample({4.0, 9.0, 6.5}, at_tick), last_only) << "at_tick=" << at_tick;
+  }
+}
+
 // A tick landing exactly on the stop instant belongs to the run — exactly as
 // the reference sampler's PeriodicTask fires it before control returns.
 TEST(SegmentLazyMatrix, TickAtStopInstantIncluded) {

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -233,6 +237,177 @@ TEST(Simulator, CancelHeavyPruningKeepsSurvivorOrder) {
   for (std::size_t i = 0; i < keyed.size(); ++i) {
     EXPECT_EQ(order[i], keyed[i].second) << "survivor order diverged at " << i;
   }
+}
+
+// Drives the kernel with a random mix of schedules and cancels and checks
+// every fire against a reference queue ordered by (t, seq), where seq counts
+// schedule calls exactly as the kernel does. The delay mix covers every path
+// through the ready queue: a few chain delays reused by long same-delay runs
+// (lane appends), well over 100 distinct delays live at once (slot
+// collisions, so plain heap entries), and uniform one-off delays. Cancels hit
+// the earliest pending event of a chain delay (a lane front) and the latest
+// (an entry queued behind it), from outside and from inside callbacks, and
+// mass cancels trigger compaction.
+class OrderHarness {
+ public:
+  explicit OrderHarness(std::uint64_t seed) : rng_(seed) {}
+
+  Simulator& sim() { return sim_; }
+  std::size_t pending() const { return pending_.size(); }
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t mismatches() const { return mismatches_; }
+  TimeNs earliest_pending() const { return pending_.begin()->first; }
+
+  std::uint64_t schedule(TimeNs delay) {
+    const std::uint64_t seq = next_seq_++;
+    const TimeNs t = sim_.now() + delay;
+    const auto id = sim_.schedule_at(t, [this, seq] { on_fire(seq); });
+    pending_.emplace(t, seq);
+    live_.emplace(seq, Live{id, t, delay});
+    seqs_.push_back(seq);
+    return seq;
+  }
+
+  TimeNs random_delay() {
+    const std::uint64_t r = rng_.next_below(100);
+    if (r < 45) return kChainDelays[rng_.next_below(std::size(kChainDelays))];
+    if (r < 85) return 1000 + 7919 * static_cast<TimeNs>(rng_.next_below(kDistinctDelays));
+    return static_cast<TimeNs>(rng_.next_below(5'000'000));
+  }
+
+  // Schedules every distinct delay once, so all of them are live together.
+  void schedule_all_distinct() {
+    for (TimeNs k = 0; k < kDistinctDelays; ++k) schedule(1000 + 7919 * k);
+  }
+
+  void cancel_random() {
+    while (!seqs_.empty()) {
+      const std::size_t i = rng_.next_below(seqs_.size());
+      const std::uint64_t seq = seqs_[i];
+      seqs_[i] = seqs_.back();
+      seqs_.pop_back();
+      if (live_.count(seq) != 0) {
+        cancel(seq);
+        return;
+      }
+    }
+  }
+
+  // Cancels the earliest (a lane front, when the delay holds a lane) or the
+  // latest (queued behind the front) pending event of one chain delay.
+  void cancel_chain(bool earliest) {
+    const TimeNs delay = kChainDelays[rng_.next_below(std::size(kChainDelays))];
+    auto matches = [&](const std::pair<TimeNs, std::uint64_t>& e) {
+      return live_.at(e.second).delay == delay;
+    };
+    if (earliest) {
+      const auto it = std::find_if(pending_.begin(), pending_.end(), matches);
+      if (it != pending_.end()) cancel(it->second);
+    } else {
+      const auto it = std::find_if(pending_.rbegin(), pending_.rend(), matches);
+      if (it != pending_.rend()) cancel(it->second);
+    }
+  }
+
+  void cancel(std::uint64_t seq) {
+    const Live e = live_.at(seq);
+    EXPECT_TRUE(sim_.cancel(e.id));
+    pending_.erase({e.t, seq});
+    live_.erase(seq);
+  }
+
+  void random_actions(int max_schedules) {
+    const auto n = rng_.next_below(static_cast<std::uint64_t>(max_schedules) + 1);
+    for (std::uint64_t i = 0; i < n; ++i) schedule(random_delay());
+    const std::uint64_t r = rng_.next_below(10);
+    if (r == 0) cancel_chain(true);
+    if (r == 1) cancel_chain(false);
+    if (r == 2) cancel_random();
+  }
+
+ private:
+  struct Live {
+    Simulator::EventId id;
+    TimeNs t;
+    TimeNs delay;
+  };
+  static constexpr TimeNs kChainDelays[] = {0, 100, 1500, 70'000, 600'000, 1'000'000};
+  static constexpr TimeNs kDistinctDelays = 150;
+
+  void on_fire(std::uint64_t seq) {
+    const auto expected = pending_.begin();
+    if (expected == pending_.end() || expected->second != seq ||
+        expected->first != sim_.now()) {
+      ++mismatches_;
+      pending_.erase({live_.at(seq).t, seq});
+    } else {
+      pending_.erase(expected);
+    }
+    live_.erase(seq);
+    ++fired_;
+    // Keep the population bounded: chains mostly continue, sometimes fork.
+    if (fired_ < kFireBudget) random_actions(pending_.size() < 400 ? 3 : 1);
+  }
+
+  static constexpr std::uint64_t kFireBudget = 60'000;
+
+  Simulator sim_;
+  Rng rng_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::set<std::pair<TimeNs, std::uint64_t>> pending_;  // reference queue
+  std::unordered_map<std::uint64_t, Live> live_;         // by seq
+  std::vector<std::uint64_t> seqs_;                      // cancel candidates
+};
+
+TEST(Simulator, RandomScheduleMatchesReferenceOrder) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    OrderHarness h(seed);
+    Rng rng(seed * 31);
+    for (int round = 0; round < 60; ++round) {
+      if (round % 10 == 0) h.schedule_all_distinct();
+      for (int i = 0; i < 40; ++i) h.random_actions(2);
+      if (round % 7 == 3) {
+        // Guards that are almost all cancelled: enough tombstones to compact.
+        std::vector<std::uint64_t> guards;
+        for (int i = 0; i < 1000; ++i) guards.push_back(h.schedule(seconds(5) + i % 4));
+        for (int i = 0; i < 1000; ++i) {
+          if (i % 10 != 0) h.cancel(guards[static_cast<std::size_t>(i)]);
+        }
+      }
+      const TimeNs until =
+          h.sim().now() + static_cast<TimeNs>(rng.next_below(3'000'000));
+      h.sim().run_until(until);
+      EXPECT_EQ(h.sim().now(), until);
+      EXPECT_EQ(h.sim().pending_events(), h.pending());
+      if (h.pending() != 0) {
+        EXPECT_GT(h.earliest_pending(), until);
+      }
+    }
+    h.sim().run_to_completion();
+    EXPECT_EQ(h.mismatches(), 0u) << "seed " << seed;
+    EXPECT_EQ(h.pending(), 0u);
+    EXPECT_EQ(h.sim().executed_events(), h.fired());
+    EXPECT_GT(h.fired(), 50'000u);
+  }
+}
+
+TEST(Simulator, TeardownReleasesCapturesQueuedBehindLaneFronts) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator s;
+    std::vector<Simulator::EventId> ids;
+    // Same-delay schedules queue behind one front; distinct delays are
+    // plain or front entries. Some of each are cancelled first.
+    for (int i = 0; i < 100; ++i) {
+      ids.push_back(s.schedule_after(microseconds(70), [token] {}));
+      ids.push_back(s.schedule_after(microseconds(100) + i, [token] {}));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 7) EXPECT_TRUE(s.cancel(ids[i]));
+    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(s.pending_events()));
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Simulator, OversizedCaptureFallsBackToHeap) {

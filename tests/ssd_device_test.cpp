@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "devices/specs.h"
 #include "iogen/engine.h"
 #include "sim/simulator.h"
@@ -270,6 +273,50 @@ TEST(SsdDevice, WriteAmplificationOneWithoutPressure) {
   iogen::run_job(sim, dev, spec);
   EXPECT_DOUBLE_EQ(dev.ftl_stats().write_amplification(), 1.0);
   EXPECT_EQ(dev.ftl_stats().erases, 0u);
+}
+
+TEST(SsdDevice, PowerStateSwitchMidWriteStream) {
+  // SSD1 starts uncapped (ps0) and drops to ps1, here a 5 W cap, after 24 of
+  // 96 sequential 1 MiB writes at queue depth 8. The uncapped governor is not
+  // told about power changes, so it must pick up the current non-NAND draw
+  // when the cap arrives; the throttle count and every completion time are
+  // pinned to values recorded before that shortcut existed.
+  sim::Simulator sim;
+  auto cfg = devices::ssd1_pm9a3();
+  cfg.write_buffer_bytes = 4 * MiB;
+  cfg.destage_batch_bytes = 0;
+  cfg.power_states[1].cap_w = 5.0;
+  SsdDevice dev(sim, cfg, 1);
+  constexpr int kIos = 96;
+  constexpr std::size_t kSwitchAfter = 24;
+  std::vector<TimeNs> done_at;
+  int submitted = 0;
+  std::function<void()> submit_next = [&] {
+    const auto offset = static_cast<std::uint64_t>(submitted++) * MiB;
+    dev.submit(sim::IoRequest{sim::IoOp::kWrite, offset, 1 * MiB},
+               [&](const sim::IoCompletion& c) {
+                 done_at.push_back(c.complete_time);
+                 if (done_at.size() == kSwitchAfter) dev.set_power_state(1);
+                 if (submitted < kIos) submit_next();
+               });
+  };
+  for (int i = 0; i < 8; ++i) submit_next();
+  sim.run_to_completion();
+  EXPECT_EQ(dev.governor().throttle_events(), 51u);
+  const std::vector<TimeNs> golden = {
+      461117, 755234, 1049351, 1343468, 1637585, 1931702, 2225819, 2519936,
+      2814053, 3108170, 3402287, 3696404, 3990521, 4284638, 4578755, 4872872,
+      5166989, 5461106, 5755223, 6049340, 6343457, 6637574, 6931691, 7225808,
+      7521925, 7816042, 8110159, 8404276, 8698393, 8992510, 9286627, 9580744,
+      9874861, 10168978, 10463095, 10757212, 11051329, 11345446, 11639563, 11933680,
+      12227797, 12521914, 12816031, 13110148, 13404265, 13698382, 13992499, 14286616,
+      14580733, 14874850, 15168967, 15463084, 15757201, 16051318, 16345435, 16639552,
+      16933669, 17227786, 17521903, 17816020, 18110137, 18404254, 18698371, 18992488,
+      19286605, 19580722, 19874839, 20168956, 20463073, 20757190, 21051307, 21366474,
+      21660591, 21954708, 22269875, 22563992, 22858109, 23152226, 23467393, 23761510,
+      24055627, 24349744, 24643861, 36176752, 36470869, 36764986, 37059103, 37353220,
+      37647337, 37941454, 38235571, 38529688, 38823805, 39117922, 39412039, 39706156};
+  EXPECT_EQ(done_at, golden);
 }
 
 }  // namespace
