@@ -18,13 +18,12 @@ Simulator::~Simulator() {
     const EventId id = heap_meta_[i].id;
     if (id_live(id)) slot(slot_of(id)).cb.reset();
   }
-  if (rings_ == 0) return;
+  if (rings_.empty()) return;  // no lane ever held an entry behind its front
   for (const Lane& lane : lanes_) {
     for (std::uint32_t i = 0; i < lane.size; ++i) {
       const EventId id = lane.ring[(lane.head + i) & (lane.cap - 1)].m.id;
       if (id_live(id)) slot(slot_of(id)).cb.reset();
     }
-    delete[] lane.ring;
   }
 }
 
@@ -44,15 +43,16 @@ void Simulator::grow_heap() {
 }
 
 void Simulator::grow_lane(Lane& lane) {
-  if (lane.cap == 0) ++rings_;
+  if (rings_.empty()) rings_.resize(kLanes);
+  std::unique_ptr<LaneEntry[]>& owner = rings_[static_cast<std::size_t>(&lane - lanes_)];
   const std::uint32_t cap = lane.cap == 0 ? 16 : lane.cap * 2;
-  auto* ring = new LaneEntry[cap];
+  std::unique_ptr<LaneEntry[]> ring(new LaneEntry[cap]);
   // Linearize the old ring while copying so head restarts at zero.
   for (std::uint32_t i = 0; i < lane.size; ++i) {
     ring[i] = lane.ring[(lane.head + i) & (lane.cap - 1)];
   }
-  delete[] lane.ring;
-  lane.ring = ring;
+  owner = std::move(ring);
+  lane.ring = owner.get();
   lane.head = 0;
   lane.cap = cap;
 }

@@ -165,10 +165,8 @@ class Simulator {
   // A delay lane: while `live`, its front entry sits in the heap and `ring`
   // (a power-of-two ring, allocated on the lane's first append) holds the
   // events scheduled behind it with the same delay. An idle lane has an
-  // empty ring and may be claimed by any delay. The Simulator owns the
-  // rings (grow_lane allocates, ~Simulator frees): a raw pointer keeps Lane
-  // trivially destructible, so a simulator that never appended to a lane
-  // tears down without visiting the table.
+  // empty ring and may be claimed by any delay. `ring` points into
+  // `rings_`, which owns it.
   struct Lane {
     TimeNs delay = 0;
     bool live = false;
@@ -411,8 +409,14 @@ class Simulator {
   std::unique_ptr<Meta[]> heap_meta_;
   std::size_t heap_size_ = 0;
   std::size_t heap_cap_ = 0;
-  std::uint32_t rings_ = 0;  // lanes that own a ring
   Lane lanes_[kLanes];
+  // Ring storage, one per lane, sized to the table on the first append. Kept
+  // out of Lane so Lane stays trivially destructible: a simulator that never
+  // appended to a lane tears down without visiting the table. Visiting it
+  // took a construct/schedule/run/destroy cycle from 170 to 450 ns (g++ 12,
+  // -O2), about a fifth of campaign's set-up, which builds 54 probe
+  // simulators.
+  std::vector<std::unique_ptr<LaneEntry[]>> rings_;
 };
 
 // Repeats a callback every `period` until stop() or the owning simulator

@@ -83,8 +83,9 @@ void SsdDevice::set_power_state(int ps) {
     PAS_CHECK_MSG(cap <= 0.0 || cap > config_.p_ctrl_static_w + config_.p_link_idle_w,
                   "power cap below the device's static floor");
   }
-  // update_power() feeds the governor only while it is capped; an uncapped
-  // governor learns the current non-NAND draw before a cap can integrate it.
+  // update_power() feeds the governor only while it is capped or holds queued
+  // ops; an uncapped governor learns the current non-NAND draw before a cap
+  // can integrate it.
   if (!governor_.capped()) {
     governor_.on_power_change(meter_.power() - nand_.instantaneous_power());
   }
@@ -532,9 +533,12 @@ void SsdDevice::update_power() {
                     nand_.instantaneous_power();
   const Watts loss = config_.vr_loss_w_per_w2 * dyn * dyn;
   meter_.set_power(sim_.now(), base + dyn + loss);
-  // An uncapped governor's integrate() only stamps its clock and its queue
-  // is empty, so it is told nothing until set_power_state() caps it.
-  if (governor_.capped()) {
+  // Once its queue is empty, an uncapped governor's integrate() only stamps
+  // its clock, so it is told nothing until set_power_state() caps it. While
+  // set_cap(0) drains a throttled queue, each drained op's power change must
+  // re-enter the drain, which submits the remaining ops before the first op
+  // schedules its NAND events; that fixes the order of same-instant events.
+  if (governor_.capped() || governor_.queued() != 0) {
     governor_.on_power_change(meter_.power() - nand_.instantaneous_power());
   }
 }

@@ -44,9 +44,10 @@ class PowerGovernor {
 
   // Reports the device's draw excluding the NAND array (whose energy is
   // charged per op at admission). Must be called after every change to the
-  // device's total power while capped; an uncapped governor only needs the
-  // current draw once, before set_cap() caps it (while uncapped,
-  // integrate() just stamps the clock and the queue is empty).
+  // device's total power while capped or while ops are queued (set_cap(0)
+  // drains the queue, and each call made during that drain re-enters it). An
+  // uncapped governor with an empty queue only needs the current draw once,
+  // before set_cap() caps it: its integrate() just stamps the clock.
   void on_power_change(Watts other_w);
 
   // Charges the budget and returns true when an op of the given cost can

@@ -319,5 +319,61 @@ TEST(SsdDevice, PowerStateSwitchMidWriteStream) {
   EXPECT_EQ(done_at, golden);
 }
 
+TEST(SsdDevice, PowerStateUncapWhileThrottledDrainsInOrder) {
+  // SSD1 starts under a 5 W cap (ps1) and returns to the uncapped ps0 after
+  // 59 of 96 sequential 1 MiB writes, while the governor holds 38 throttled
+  // NAND ops. set_cap(0) drains them all at that instant; each drained op's
+  // power change re-enters the drain before the op's own NAND events are
+  // scheduled, which fixes the order of same-instant events and of the
+  // program-power jitter draws. The throttle count and every completion time
+  // are pinned to recorded values.
+  sim::Simulator sim;
+  auto cfg = devices::ssd1_pm9a3();
+  cfg.write_buffer_bytes = 4 * MiB;
+  cfg.destage_batch_bytes = 0;
+  cfg.power_states[1].cap_w = 5.0;
+  SsdDevice dev(sim, cfg, 1);
+  dev.set_power_state(1);
+  constexpr int kIos = 96;
+  constexpr std::size_t kSwitchAfter = 59;
+  std::vector<TimeNs> done_at;
+  std::size_t queued_at_switch = 0;
+  int submitted = 0;
+  std::function<void()> submit_next = [&] {
+    const auto offset = static_cast<std::uint64_t>(submitted++) * MiB;
+    dev.submit(sim::IoRequest{sim::IoOp::kWrite, offset, 1 * MiB},
+               [&](const sim::IoCompletion& c) {
+                 done_at.push_back(c.complete_time);
+                 if (done_at.size() == kSwitchAfter) {
+                   queued_at_switch = dev.governor().queued();
+                   dev.set_power_state(0);
+                   EXPECT_EQ(dev.governor().queued(), 0u);
+                 }
+                 if (submitted < kIos) submit_next();
+               });
+  };
+  for (int i = 0; i < 8; ++i) submit_next();
+  sim.run_to_completion();
+  EXPECT_EQ(queued_at_switch, 38u);
+  EXPECT_EQ(dev.governor().throttle_events(), 38u);
+  // Drained ops that schedule their NAND events in another order show in the
+  // last bits of the energy total, so it is pinned exactly.
+  EXPECT_EQ(dev.consumed_energy(), 0.29661730494282568);
+  const std::vector<TimeNs> golden = {
+      464117, 758234, 1052351, 1346468, 1640585, 1934702, 2228819, 2522936,
+      2817053, 3111170, 3405287, 3699404, 3993521, 4287638, 4581755, 4875872,
+      5169989, 5464106, 5758223, 6052340, 6346457, 6640574, 6934691, 7228808,
+      7522925, 7817042, 8111159, 8405276, 8699393, 8993510, 9287627, 9581744,
+      9875861, 10169978, 10464095, 10758212, 11052329, 11346446, 11640563, 11934680,
+      12228797, 12522914, 12817031, 13111148, 13405265, 13699382, 13993499, 14287616,
+      14581733, 14875850, 15169967, 15464084, 15758201, 16052318, 16346435, 16640552,
+      16934669, 17228786, 17522903, 17815020, 18544662, 18838779, 19132896, 19427013,
+      19721130, 20015247, 20309364, 20603481, 20897598, 21212765, 21506882, 21819975,
+      22116166, 22410283, 22723376, 23019567, 23313684, 23626777, 23922968, 24217085,
+      24511202, 24805319, 25099436, 25393553, 25687670, 25981787, 26275904, 26570021,
+      26864138, 27158255, 27452372, 27746489, 28040606, 28334723, 28628840, 28922957};
+  EXPECT_EQ(done_at, golden);
+}
+
 }  // namespace
 }  // namespace pas::ssd
